@@ -255,6 +255,7 @@ func (c *Cluster) prepare(ctx context.Context) error {
 	if c.totalOps == 0 {
 		return fmt.Errorf("cluster: empty trace")
 	}
+	c.respAll.Grow(c.totalOps)
 	if c.cfg.Migration == MigrateMidpoint {
 		c.migrateAfter = c.totalOps / 2
 	}

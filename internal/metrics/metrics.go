@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -135,32 +136,28 @@ func Mean(xs []float64) float64 {
 // values; simulation runs produce at most a few million samples, well
 // within memory for the experiment scale.
 type Histogram struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 }
 
 // Observe adds a sample.
-func (h *Histogram) Observe(x float64) {
-	h.xs = append(h.xs, x)
-	h.sorted = false
-}
+func (h *Histogram) Observe(x float64) { h.xs = append(h.xs, x) }
+
+// Grow reserves room for n more samples, so a run that knows its sample
+// count up front fills the buffer without regrowing it. A buffer that
+// already has the room is kept as it is.
+func (h *Histogram) Grow(n int) { h.xs = slices.Grow(h.xs, n) }
 
 // Reset clears the histogram and adopts buf's backing storage for
 // subsequent samples, letting a harness recycle sample buffers across
 // runs instead of regrowing them.
-func (h *Histogram) Reset(buf []float64) {
-	h.xs = buf[:0]
-	h.sorted = false
-}
+func (h *Histogram) Reset(buf []float64) { h.xs = buf[:0] }
 
 // Buffer surrenders the sample buffer for recycling via Reset on another
 // histogram. The histogram must not be used afterwards.
 func (h *Histogram) Buffer() []float64 { return h.xs }
 
-// Samples exposes the raw sample slice for read-only inspection (state
-// digests). Samples appear in observation order until the first
-// Quantile call sorts them in place; callers that need a
-// capture-order-stable view must read before querying quantiles.
+// Samples exposes the raw sample slice, in observation order, for
+// read-only inspection (state digests).
 func (h *Histogram) Samples() []float64 { return h.xs }
 
 // Count returns the number of samples.
@@ -171,22 +168,89 @@ func (h *Histogram) Mean() float64 { return Mean(h.xs) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
 // sorted samples. It returns 0 with no samples.
+//
+// The samples are left in observation order: Quantile selects instead
+// of sorting. It fixes the answer's order-preserving key (floatKey) an
+// 11-bit digit at a time, most significant first, by counting the
+// samples that share the digits fixed so far, until at most selectSort
+// of them remain; those few keys are then sorted. A spread-out
+// distribution takes two or three passes over the samples, and the
+// result is the exact sample, bit for bit. NaN samples, which response
+// times never are, order by their bits: NaNs with the sign bit clear
+// rank above +Inf and the others below −Inf. ±0 are ordered −0 < +0; as
+// values they compare equal.
 func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.xs) == 0 {
+	n := len(h.xs)
+	if n == 0 {
 		return 0
 	}
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
 	}
-	if !h.sorted {
-		sort.Float64s(h.xs)
-		h.sorted = true
+	rank := int(math.Ceil(q*float64(n))) - 1
+	if rank < 0 {
+		rank = 0
 	}
-	idx := int(math.Ceil(q*float64(len(h.xs)))) - 1
-	if idx < 0 {
-		idx = 0
+	// The answer's key has prefix as its top fixed bits, and m samples
+	// share them; rank counts within those m. (A shift by 64 is 0 in
+	// Go, so the empty prefix matches every key.)
+	var counts [1 << digitBits]uint32
+	prefix, fixed, m := uint64(0), 0, n
+	for m > selectSort {
+		if fixed == 64 {
+			return keyFloat(prefix) // m equal keys
+		}
+		width := min(digitBits, 64-fixed)
+		shift := 64 - fixed - width
+		clear(counts[:])
+		for _, x := range h.xs {
+			if k := floatKey(x); k>>(64-fixed) == prefix {
+				counts[k>>shift&(1<<width-1)]++
+			}
+		}
+		d := 0
+		for ; rank >= int(counts[d]); d++ {
+			rank -= int(counts[d])
+		}
+		prefix = prefix<<width | uint64(d)
+		fixed += width
+		m = int(counts[d])
 	}
-	return h.xs[idx]
+	keys := make([]uint64, 0, m)
+	for _, x := range h.xs {
+		if k := floatKey(x); k>>(64-fixed) == prefix {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keyFloat(keys[rank])
+}
+
+// digitBits is the width of the key digit one Quantile pass fixes; its
+// count table (8 KB) stays on the stack.
+const digitBits = 11
+
+// selectSort is the number of candidate samples at or below which
+// Quantile stops counting digits and sorts their keys.
+const selectSort = 1 << 10
+
+// floatKey maps a float64 to a uint64 whose unsigned order is the
+// float's numeric order: negative values have every bit flipped,
+// non-negative ones only the sign bit.
+func floatKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyFloat inverts floatKey.
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // TimeSeries buckets (t, value) observations into fixed-width windows and

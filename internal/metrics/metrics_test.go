@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -209,7 +210,7 @@ func TestHistogramObserveAfterQuantile(t *testing.T) {
 	var h Histogram
 	h.Observe(5)
 	_ = h.Quantile(0.5)
-	h.Observe(1) // must re-sort lazily
+	h.Observe(1) // later samples must count in later queries
 	if q := h.Quantile(0); q != 1 {
 		t.Fatalf("histogram stale after post-quantile observe: p0=%v", q)
 	}
@@ -239,6 +240,117 @@ func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 			}
 			prev = v
 		}
+	}
+}
+
+// sortedRank is the reference nearest-rank quantile: sort a copy and
+// index it.
+func sortedRank(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return s[idx]
+}
+
+// Property: Quantile equals the sort-based nearest rank on NaN-free
+// inputs, across sizes on both sides of selectSort and across value
+// mixes that stress the key mapping: duplicates, negatives, ±0,
+// subnormals, infinities and one-bucket clusters.
+func TestPropertyQuantileMatchesSortedRank(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	gens := map[string]func() float64{
+		"normal":     func() float64 { return rnd.NormFloat64() * 1e3 },
+		"duplicates": func() float64 { return float64(rnd.Intn(5)) - 2 },
+		"zeros": func() float64 {
+			return []float64{0, math.Copysign(0, -1), 1, -1}[rnd.Intn(4)]
+		},
+		"subnormal": func() float64 {
+			return math.SmallestNonzeroFloat64 * float64(rnd.Intn(100)-50)
+		},
+		"extremes": func() float64 {
+			return []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64,
+				-math.MaxFloat64, 0, 1e-300}[rnd.Intn(6)]
+		},
+		"one-bucket": func() float64 { return 1 + rnd.Float64()/32 },
+		"latency":    func() float64 { return rnd.ExpFloat64() * 1e-3 },
+	}
+	sizes := []int{1, 2, 3, 17, 100, selectSort, selectSort + 1, 20000}
+	qs := []float64{0, 0.01, 0.5, 0.99, 1}
+	for name, gen := range gens {
+		for _, n := range sizes {
+			var h Histogram
+			for i := 0; i < n; i++ {
+				h.Observe(gen())
+			}
+			for _, q := range qs {
+				want := sortedRank(h.Samples(), q)
+				if got := h.Quantile(q); got != want {
+					t.Fatalf("%s n=%d: Quantile(%v) = %v, sorted rank %v", name, n, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Regression: Quantile used to sort the samples in place, so Samples()
+// order (and the summation order of Mean) depended on whether anyone
+// had asked for a percentile first.
+func TestQuantileKeepsObservationOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for _, n := range []int{50, 3 * selectSort} {
+		var h Histogram
+		for i := 0; i < n; i++ {
+			h.Observe(rnd.ExpFloat64())
+		}
+		before := append([]float64(nil), h.Samples()...)
+		mean := h.Mean()
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			h.Quantile(q)
+		}
+		for i, x := range h.Samples() {
+			if math.Float64bits(x) != math.Float64bits(before[i]) {
+				t.Fatalf("n=%d: sample %d changed from %v to %v after Quantile", n, i, before[i], x)
+			}
+		}
+		if got := h.Mean(); got != mean {
+			t.Fatalf("n=%d: mean %v after Quantile, %v before", n, got, mean)
+		}
+	}
+}
+
+// NaN is outside Quantile's contract (response times never are NaN),
+// but its behaviour is pinned: NaNs order by their bits, so a positive
+// NaN ranks above +Inf rather than first as in sort.Float64s.
+func TestQuantileNaNOrdersAboveInf(t *testing.T) {
+	var h Histogram
+	for _, x := range []float64{math.NaN(), 1, math.Inf(1), -1} {
+		h.Observe(x)
+	}
+	if got := h.Quantile(0); got != -1 {
+		t.Errorf("p0 = %v, want -1", got)
+	}
+	if got := h.Quantile(0.75); !math.IsInf(got, 1) {
+		t.Errorf("p75 = %v, want +Inf", got)
+	}
+	if got := h.Quantile(1); !math.IsNaN(got) {
+		t.Errorf("p100 = %v, want NaN", got)
+	}
+}
+
+func TestHistogramGrowKeepsSamples(t *testing.T) {
+	var h Histogram
+	h.Observe(2)
+	h.Grow(100)
+	if cap(h.Samples()) < 101 || h.Count() != 1 || h.Samples()[0] != 2 {
+		t.Fatalf("after Grow(100): len %d cap %d", h.Count(), cap(h.Samples()))
+	}
+	buf := h.Buffer()
+	h.Grow(50) // already room: the buffer stays
+	if &h.Samples()[0] != &buf[0] {
+		t.Fatal("Grow reallocated a buffer that already had room")
 	}
 }
 

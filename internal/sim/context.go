@@ -8,9 +8,11 @@ import (
 // CancelCheckInterval is the number of events RunContext fires between
 // context-cancellation polls. The poll is a single non-blocking select
 // on a prefetched Done channel — no allocation, no syscall — so the
-// interval trades only poll frequency against branch overhead: at the
-// engine's ~20ns event cycle a check lands every ~80µs of wall time,
-// which bounds how stale a cancellation can go unobserved.
+// interval trades only poll frequency against branch overhead. A
+// paper-shaped replay costs several hundred ns of wall time per event,
+// model callbacks included (sim.ns_per_event in the perfbench layer
+// table), so a check lands every few milliseconds, which bounds how
+// stale a cancellation can go unobserved.
 const CancelCheckInterval = 4096
 
 // RunContext executes events until the queue drains or ctx is

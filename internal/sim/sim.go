@@ -6,13 +6,15 @@
 // same model twice yields identical event orderings and therefore
 // identical results. All EDM experiments are built on this property.
 //
-// The queue is an index-based 4-ary min-heap over a value slice of event
-// slots with a free list, so steady-state scheduling (At/After/Step)
-// performs no heap allocations: fired and cancelled events return their
-// slots for reuse. Handles are generation-checked slot indices, and
-// Cancel removes its event from the queue eagerly, so cancelled events
-// never linger (Pending is exact and a Stop-heavy run cannot bloat the
-// queue).
+// The queue is a 4-ary min-heap whose entries carry their (at, seq) sort
+// key inline next to a slot index, so comparisons never leave the heap
+// array; sifting moves a hole and writes the moving entry once. Event
+// callbacks live in a value slice of slots with a free list, so
+// steady-state scheduling (At/After/Step) performs no heap allocations:
+// fired and cancelled events return their slots for reuse. Handles are
+// generation-checked slot indices, and Cancel removes its event from the
+// queue eagerly, so cancelled events never linger (Pending is exact and
+// a Stop-heavy run cannot bloat the queue).
 package sim
 
 import (
@@ -64,16 +66,31 @@ type Action interface {
 	Fire(now Time)
 }
 
-// slot holds one scheduled event. Slots live in a value slice and are
-// recycled through a free list; pos tracks the slot's position in the
-// heap (freeSlot when idle) and gen invalidates stale handles.
+// slot holds one scheduled event's callback. Slots live in a value
+// slice and are recycled through a free list; pos tracks the slot's
+// position in the heap (freeSlot when idle) and gen invalidates stale
+// handles.
 type slot struct {
-	at  Time
-	seq uint64 // tiebreaker: FIFO among same-time events
-	fn  Event  // exactly one of fn/act is set
+	fn  Event // exactly one of fn/act is set
 	act Action
 	gen uint32
 	pos int32
+}
+
+// entry is one heap element: the event's sort key and its slot.
+type entry struct {
+	at  Time
+	seq uint64 // tiebreaker: FIFO among same-time events
+	id  int32
+}
+
+// before orders heap entries by (at, seq): earliest first, FIFO among
+// same-time events — the determinism tiebreak.
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // freeSlot marks a slot that is not in the heap (fired, cancelled, or
@@ -109,7 +126,7 @@ func (h Handle) Cancel() bool {
 type Engine struct {
 	now     Time
 	slots   []slot
-	heap    []int32 // slot ids ordered as a 4-ary min-heap on (at, seq)
+	heap    []entry // 4-ary min-heap on (at, seq)
 	free    []int32 // recycled slot ids (LIFO)
 	seq     uint64
 	fired   uint64
@@ -155,9 +172,8 @@ type QueueEntry struct {
 // perturb the run being captured.
 func (e *Engine) AppendQueue(dst []QueueEntry) []QueueEntry {
 	base := len(dst)
-	for _, id := range e.heap {
-		s := &e.slots[id]
-		dst = append(dst, QueueEntry{At: s.at, Seq: s.seq})
+	for _, x := range e.heap {
+		dst = append(dst, QueueEntry{At: x.at, Seq: x.seq})
 	}
 	tail := dst[base:]
 	sort.Slice(tail, func(i, j int) bool {
@@ -196,13 +212,9 @@ func (e *Engine) alloc(at Time) int32 {
 		e.slots = append(e.slots, slot{pos: freeSlot})
 		id = int32(len(e.slots) - 1)
 	}
-	s := &e.slots[id]
-	s.at = at
-	s.seq = e.seq
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, id: id})
 	e.seq++
-	s.pos = int32(len(e.heap))
-	e.heap = append(e.heap, id)
-	e.siftUp(int(s.pos))
 	return id
 }
 
@@ -294,8 +306,8 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	s := &e.slots[e.heap[0]]
-	at := s.at
+	at := e.heap[0].at
+	s := &e.slots[e.heap[0].id]
 	fn := s.fn
 	act := s.act
 	e.removeAt(0)
@@ -312,15 +324,16 @@ func (e *Engine) Step() bool {
 // removeAt unlinks the event at heap position pos and recycles its slot.
 // The slot's generation advances so stale handles miss.
 func (e *Engine) removeAt(pos int32) {
-	id := e.heap[pos]
-	last := int32(len(e.heap) - 1)
+	id := e.heap[pos].id
+	last := len(e.heap) - 1
 	moved := e.heap[last]
-	e.heap[pos] = moved
-	e.slots[moved].pos = pos
 	e.heap = e.heap[:last]
-	if pos < last {
-		e.siftDown(int(pos))
-		e.siftUp(int(e.slots[moved].pos))
+	if i := int(pos); i < last {
+		if i > 0 && moved.before(e.heap[(i-1)/4]) {
+			e.siftUp(i, moved)
+		} else {
+			e.siftDown(i, moved)
+		}
 	}
 	s := &e.slots[id]
 	s.pos = freeSlot
@@ -330,39 +343,32 @@ func (e *Engine) removeAt(pos int32) {
 	e.free = append(e.free, id)
 }
 
-// less orders heap entries by (at, seq): earliest first, FIFO among
-// same-time events — the determinism tiebreak.
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-// siftUp restores heap order from position i toward the root.
-func (e *Engine) siftUp(i int) {
+// siftUp places x in the hole at heap position i, moving the hole
+// toward the root past every parent that x precedes.
+func (e *Engine) siftUp(i int, x entry) {
 	h := e.heap
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.less(h[i], h[parent]) {
+		if !x.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		e.slots[h[i]].pos = int32(i)
-		e.slots[h[parent]].pos = int32(parent)
+		h[i] = h[parent]
+		e.slots[h[i].id].pos = int32(i)
 		i = parent
 	}
+	h[i] = x
+	e.slots[x.id].pos = int32(i)
 }
 
-// siftDown restores heap order from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
+// siftDown places x in the hole at heap position i, moving the hole
+// toward the leaves past every smallest child that precedes x.
+func (e *Engine) siftDown(i int, x entry) {
 	h := e.heap
 	n := len(h)
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		end := first + 4
@@ -370,18 +376,19 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[min]) {
+			if h[c].before(h[min]) {
 				min = c
 			}
 		}
-		if !e.less(h[min], h[i]) {
-			return
+		if !h[min].before(x) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		e.slots[h[i]].pos = int32(i)
-		e.slots[h[min]].pos = int32(min)
+		h[i] = h[min]
+		e.slots[h[i].id].pos = int32(i)
 		i = min
 	}
+	h[i] = x
+	e.slots[x.id].pos = int32(i)
 }
 
 // Run executes events until the queue drains.
@@ -397,7 +404,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.guard()
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -451,3 +451,59 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Property: under a random mix of scheduling, mid-queue cancellation
+// and stepping, events fire in exactly (at, seq) order — the order a
+// sorted reference list gives — and AppendQueue always lists the
+// reference's pending set. Mid-queue cancels exercise both directions
+// removeAt can move the heap's last entry.
+func TestPropertyHeapMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	type ref struct {
+		at  Time
+		seq int
+	}
+	for trial := 0; trial < 40; trial++ {
+		e := New()
+		var pending []ref // reference queue, kept sorted by (at, seq)
+		handles := map[int]Handle{}
+		var fired []int
+		seq := 0
+		for op := 0; op < 600; op++ {
+			switch r := rnd.Intn(10); {
+			case r < 5:
+				s := seq
+				seq++
+				at := e.Now() + Time(rnd.Intn(20))
+				handles[s] = e.At(at, func(Time) { fired = append(fired, s) })
+				i := sort.Search(len(pending), func(i int) bool {
+					p := pending[i]
+					return p.at > at || (p.at == at && p.seq > s)
+				})
+				pending = append(pending[:i], append([]ref{{at, s}}, pending[i:]...)...)
+			case r < 7 && len(pending) > 0:
+				i := rnd.Intn(len(pending))
+				if !handles[pending[i].seq].Cancel() {
+					t.Fatalf("trial %d: cancel of pending event %d failed", trial, pending[i].seq)
+				}
+				pending = append(pending[:i], pending[i+1:]...)
+			case len(pending) > 0:
+				want := pending[0]
+				pending = pending[1:]
+				e.Step()
+				if got := fired[len(fired)-1]; got != want.seq || e.Now() != want.at {
+					t.Fatalf("trial %d: fired %d at %v, want %d at %v", trial, got, e.Now(), want.seq, want.at)
+				}
+			}
+			q := e.AppendQueue(nil)
+			if len(q) != len(pending) {
+				t.Fatalf("trial %d: queue holds %d, reference %d", trial, len(q), len(pending))
+			}
+			for i, x := range q {
+				if x.At != pending[i].at {
+					t.Fatalf("trial %d: queue[%d] at %v, reference %v", trial, i, x.At, pending[i].at)
+				}
+			}
+		}
+	}
+}

@@ -277,7 +277,7 @@ func Generate(p Profile, seed uint64) (*Trace, error) {
 	total := p.WriteCount + p.ReadCount
 	writeLeft, readLeft := p.WriteCount, p.ReadCount
 	users := make([]userState, p.Users)
-	t.Records = make([]Record, 0, total+total/4)
+	t.Records = make([]Record, 0, recordCapacity(p))
 
 	// Popularity drift: at ten checkpoints across the trace, swap rank
 	// positions in both permutations (the same positions, preserving
@@ -365,6 +365,23 @@ func Generate(p Profile, seed uint64) (*Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// recordCapacity is the size Generate allocates Records at, chosen so
+// the slice is never regrown. Each of the total operations is one
+// record, and each one that leaves its user's current file adds an open
+// and, later, a close. A user's first operation always opens; every
+// later one does so with probability 1−RepeatProb, so the record count
+// is total + 2·users' first opens + 2·Binomial(total−firsts,
+// 1−RepeatProb). The estimate takes every user as active and adds six
+// standard deviations of the binomial, capped at the hard maximum of
+// three records per operation.
+func recordCapacity(p Profile) int {
+	total := p.WriteCount + p.ReadCount
+	r := p.RepeatProb
+	mean := float64(total)*(3-2*r) + 2*float64(p.Users)
+	sd := 2 * math.Sqrt(float64(total)*r*(1-r))
+	return min(3*total, int(math.Ceil(mean+6*sd)))
 }
 
 // scramblePerm copies perm and re-shuffles a random fraction of its

@@ -65,13 +65,16 @@ func parseOpKind(s string) (OpKind, error) {
 // for hash placement).
 type FileID int64
 
-// Record is one trace operation.
+// Record is one trace operation. Fields are ordered widest first so the
+// record packs into 32 bytes (User and Kind share the last word); a
+// replay walks the records of many streams at once, so the size is what
+// decides how many of them a cache line holds.
 type Record struct {
-	User   int32 // issuing user; users are sharded across clients
 	File   FileID
-	Kind   OpKind
 	Offset int64 // bytes; meaningful for read/write
 	Size   int64 // bytes; meaningful for read/write
+	User   int32 // issuing user; users are sharded across clients
+	Kind   OpKind
 }
 
 // FileInfo describes a traced file.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small(t *testing.T) *Trace {
@@ -479,5 +480,40 @@ func TestHotFileSizeBoostCorrelatesSizeWithHeat(t *testing.T) {
 	}
 	if boosted <= base {
 		t.Fatalf("boost had no effect on hot files: %d vs %d", boosted, base)
+	}
+}
+
+// A replay reads the records of hundreds of streams interleaved, so
+// each record's size sets how many fit a cache line; the field order
+// of Record keeps it at 32 bytes (two per line) rather than the 40 an
+// int32-first layout pads to.
+func TestRecordIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Fatalf("sizeof(Record) = %d, want 32", got)
+	}
+}
+
+// Generate sizes Records once from recordCapacity; a cap still equal to
+// the estimate proves the slice never regrew (append would have
+// replaced it with a larger one).
+func TestGenerateNeverRegrowsRecords(t *testing.T) {
+	for _, p := range Profiles() {
+		for _, scale := range []int{10, 80, 100} {
+			sp := p.Scaled(scale)
+			for seed := uint64(1); seed <= 3; seed++ {
+				tr, err := Generate(sp, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := cap(tr.Records), recordCapacity(sp); got != want {
+					t.Errorf("%s/%d seed %d: cap %d, estimate %d (len %d)",
+						p.Name, scale, seed, got, want, len(tr.Records))
+				}
+			}
+		}
+	}
+	rp := RandomProfile(100, 5000)
+	if tr, err := Generate(rp, 1); err != nil || cap(tr.Records) != len(tr.Records) {
+		t.Fatalf("random profile: err %v, cap %d len %d (want exact)", err, cap(tr.Records), len(tr.Records))
 	}
 }
