@@ -1,27 +1,35 @@
 package chaos
 
 import (
+	"fmt"
+	"net/http"
 	"strings"
 	"sync"
-
-	"edm/internal/dispatch"
+	"time"
 )
 
-// HTTPScript turns a Plan's dispatch-layer faults into a
-// dispatch.ClientConfig.FaultHook. The script counts HTTP exchanges
-// (per fault, over exchanges matching the fault's Path substring) and
-// fires each fault at its Nth match:
+// HTTPScript turns a Plan's dispatch-layer faults into an
+// http.RoundTripper: install it as the Transport of the http.Client a
+// dispatch.ClientConfig carries, and every exchange the coordinator
+// makes — retries included — runs through the script. It counts
+// exchanges per fault, over exchanges whose "host/path" (e.g.
+// "127.0.0.1:8081/v1/runs/run-1") contains the fault's Path, so a
+// fault can target an endpoint, one worker, or both. Each fault fires
+// at its Nth match:
 //
-//   - drop-response drops exactly the Nth matching exchange;
+//   - drop-response fails exactly the Nth matching exchange, without
+//     touching the base transport, as if the response was lost;
 //   - delay-response stalls exactly the Nth matching exchange by
-//     WallDelay;
-//   - worker-death drops every matching exchange from the Nth onward
+//     WallDelay before it is issued (context-aware, so deadlines
+//     still fire during an injected stall);
+//   - worker-death fails every matching exchange from the Nth onward
 //     (the worker died mid-conversation and never answers again).
 //
-// The hook is safe for concurrent use; a Client calls it from
-// whatever goroutines issue requests. Device-kind faults in the plan
-// are ignored — they belong to the virtual-clock Injector.
+// Exchanges that no fault drops go to the base transport. The script
+// is safe for concurrent use. Device-kind faults in the plan are
+// ignored — they belong to the virtual-clock Injector.
 type HTTPScript struct {
+	base   http.RoundTripper
 	mu     sync.Mutex
 	faults []scriptFault
 }
@@ -31,52 +39,67 @@ type scriptFault struct {
 	seen int
 }
 
-// NewHTTPScript builds a script from the plan's dispatch faults.
-func NewHTTPScript(p Plan) *HTTPScript {
-	s := &HTTPScript{}
+// NewHTTPScript builds a script from the plan's dispatch faults over
+// base (nil: http.DefaultTransport).
+func NewHTTPScript(p Plan, base http.RoundTripper) *HTTPScript {
+	if base == nil {
+		base = http.DefaultTransport
+	}
+	s := &HTTPScript{base: base}
 	for _, f := range p.DispatchFaults() {
 		s.faults = append(s.faults, scriptFault{f: f})
 	}
 	return s
 }
 
-// Hook returns the function to install as ClientConfig.FaultHook.
-// Returns nil when the plan has no dispatch faults, so the client's
-// zero-cost no-hook path stays intact.
-func (s *HTTPScript) Hook() func(method, path string) dispatch.RequestFault {
-	if len(s.faults) == 0 {
-		return nil
+// RoundTrip applies the script's verdict for this exchange, then
+// forwards it to the base transport unless it was dropped.
+func (s *HTTPScript) RoundTrip(req *http.Request) (*http.Response, error) {
+	drop, delay := s.verdict(req.URL.Host + req.URL.Path)
+	var err error
+	if delay > 0 {
+		select {
+		case <-req.Context().Done():
+			err = req.Context().Err()
+		case <-time.After(delay):
+		}
 	}
-	return s.verdict
+	if err == nil && drop {
+		err = fmt.Errorf("chaos: injected response drop (%s %s)", req.Method, req.URL)
+	}
+	if err != nil {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, err
+	}
+	return s.base.RoundTrip(req)
 }
 
-func (s *HTTPScript) verdict(method, path string) dispatch.RequestFault {
+// verdict advances every matching fault's exchange count and reports
+// whether this exchange is dropped and how long it stalls first.
+func (s *HTTPScript) verdict(target string) (drop bool, delay time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out dispatch.RequestFault
 	for i := range s.faults {
 		sf := &s.faults[i]
-		if sf.f.Path != "" && !strings.Contains(path, sf.f.Path) {
+		if sf.f.Path != "" && !strings.Contains(target, sf.f.Path) {
 			continue
 		}
 		n := sf.seen
 		sf.seen++
 		switch sf.f.Kind {
 		case FaultDropResponse:
-			if n == sf.f.Nth {
-				out.Drop = true
-			}
+			drop = drop || n == sf.f.Nth
 		case FaultWorkerDeath:
-			if n >= sf.f.Nth {
-				out.Drop = true
-			}
+			drop = drop || n >= sf.f.Nth
 		case FaultDelayResponse:
-			if n == sf.f.Nth && sf.f.WallDelay > out.Delay {
-				out.Delay = sf.f.WallDelay
+			if n == sf.f.Nth && sf.f.WallDelay > delay {
+				delay = sf.f.WallDelay
 			}
 		}
 	}
-	return out
+	return drop, delay
 }
 
 // Exchanges reports how many exchanges each fault has seen so far

@@ -21,8 +21,9 @@
 //
 // Device-level faults run on the virtual clock inside the simulation.
 // The dispatch-layer fault kinds target the real-HTTP coordinator
-// stack and are exercised by wall-clock tests via HTTPScript; they are
-// carried in the same Plan type so one artifact format covers both.
+// stack: HTTPScript delivers them as an http.RoundTripper under a
+// dispatch client, in wall-clock tests. They are carried in the same
+// Plan type so one artifact format covers both.
 package chaos
 
 import (
@@ -86,8 +87,9 @@ type Fault struct {
 	// After is the virtual delay between the migration round starting
 	// and the device failing (migration-fail).
 	After sim.Time `json:"after,omitempty"`
-	// Path is a substring filter on the request path (dispatch kinds);
-	// empty matches every exchange.
+	// Path is a substring filter on the request's "host/path", e.g.
+	// "/v1/runs" for an endpoint or "127.0.0.1:8081/" for one worker
+	// (dispatch kinds); empty matches every exchange.
 	Path string `json:"path,omitempty"`
 	// Nth selects which matching occurrence fires the fault, counting
 	// from 0 (migration-fail: which round; dispatch kinds: which

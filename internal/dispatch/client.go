@@ -1,15 +1,11 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -24,14 +20,16 @@ type ClientConfig struct {
 	BaseURL string
 	// HTTP is the underlying client (default: a plain http.Client;
 	// per-call deadlines come from contexts, not a client timeout).
+	// Fault-injection tests install a chaos.HTTPScript as its
+	// Transport.
 	HTTP *http.Client
-	// MaxRetries bounds the transient-failure retries per HTTP call
+	// MaxRetries bounds the transient-failure retries per call
 	// (default 4; the first attempt is not a retry).
 	MaxRetries int
 	// RetryBase/RetryMax shape the backoff between retries: the delay
 	// doubles from RetryBase, is capped at RetryMax, and is jittered
-	// to half-to-full value (defaults 50ms / 2s). A 429 or 503 with
-	// Retry-After overrides the computed delay.
+	// to half-to-full value (defaults 50ms / 2s). A server retry hint
+	// (server.APIError.RetryAfter) overrides the computed delay.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// PollInterval is the job-status polling cadence while a submitted
@@ -45,30 +43,9 @@ type ClientConfig struct {
 	// Tenant is the fair-share accounting identity stamped on every
 	// cell this client submits (empty: the worker's default tenant).
 	Tenant string
-	// FaultHook, when non-nil, is consulted before every HTTP attempt
-	// (including retries) with the request's method and path. It exists
-	// for fault-injection tests: a Drop verdict makes the attempt fail
-	// as if the response was lost in transit (retryable, wrapping
-	// ErrUnavailable), and a Delay stalls the attempt first —
-	// context-aware, so deadlines still fire during an injected stall.
-	// Production configs leave it nil; it costs nothing when unset.
-	FaultHook func(method, path string) RequestFault
-}
-
-// RequestFault is a FaultHook verdict for one HTTP attempt.
-type RequestFault struct {
-	// Drop fails the attempt without touching the network, as if the
-	// worker's response never arrived.
-	Drop bool
-	// Delay stalls the attempt before it is issued (applied before
-	// Drop is evaluated, mimicking a response lost after a slow path).
-	Delay time.Duration
 }
 
 func (c *ClientConfig) applyDefaults() {
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
 	}
@@ -83,73 +60,64 @@ func (c *ClientConfig) applyDefaults() {
 	}
 }
 
-// Client is a typed HTTP client for one edmd worker. It is safe for
-// concurrent use; Retries exposes how many transient-failure retries
-// it has performed (the coordinator's per-worker counter).
+// Client is the coordinator's view of one edmd worker: a
+// server.Client — the only code that speaks the wire protocol — plus
+// a retry policy, the submit→poll loop and the cell's scheduling
+// identity. It is safe for concurrent use; Retries exposes how many
+// transient-failure retries it has performed (the coordinator's
+// per-worker counter).
+//
+// Errors keep the server's sentinels: a permanent rejection or an
+// exhausted retry budget wraps the underlying *server.APIError, so
+// errors.Is(err, server.ErrUnknownJob) holds after dispatch exactly as
+// it does for edmctl.
 type Client struct {
 	cfg ClientConfig
+	api *server.Client
 
-	// Retries counts HTTP attempts beyond the first, across all calls.
+	// Retries counts call attempts beyond the first, across all calls.
 	Retries atomic.Uint64
 }
 
 // NewClient builds a client for the worker at cfg.BaseURL.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.applyDefaults()
-	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
-	return &Client{cfg: cfg}
+	return &Client{cfg: cfg, api: server.NewClient(cfg.BaseURL, cfg.HTTP)}
 }
 
 // BaseURL returns the worker's root URL.
-func (c *Client) BaseURL() string { return c.cfg.BaseURL }
-
-// Health is the GET /healthz body.
-type Health struct {
-	Status        string  `json:"status"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Workers       int     `json:"workers"`
-	Running       int64   `json:"running"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-}
-
-// OK reports whether the worker is accepting work (not draining).
-func (h Health) OK() bool { return h.Status == "ok" }
+func (c *Client) BaseURL() string { return c.api.BaseURL() }
 
 // Health probes GET /healthz once — no retries; the caller is usually
 // deciding liveness and wants the answer now. A draining worker (503
-// with a JSON body) decodes successfully with OK() == false.
-func (c *Client) Health(ctx context.Context) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/healthz", nil)
+// with a JSON body) decodes successfully with OK() == false; any
+// failure wraps ErrUnavailable.
+func (c *Client) Health(ctx context.Context) (server.HealthInfo, error) {
+	h, err := c.api.Health(ctx)
 	if err != nil {
-		return Health{}, err
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("%w: %s: bad healthz body: %v", ErrUnavailable, c.cfg.BaseURL, err)
+		return server.HealthInfo{}, fmt.Errorf("%w: %s: %w", ErrUnavailable, c.BaseURL(), err)
 	}
 	return h, nil
 }
 
 // Version fetches GET /v1/version (with retries: it is part of fleet
 // bring-up, where a worker may still be binding its listener).
-func (c *Client) Version(ctx context.Context) (server.VersionInfo, error) {
-	var v server.VersionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/version", nil, &v)
+func (c *Client) Version(ctx context.Context) (v server.VersionInfo, err error) {
+	err = c.retry(ctx, "version", func() error {
+		v, err = c.api.Version(ctx)
+		return err
+	})
 	return v, err
 }
 
 // Submit posts one run request and returns the accepted job's status.
 // Queue-full (429) and transient failures are retried; exhausted
 // retries surface as ErrUnavailable.
-func (c *Client) Submit(ctx context.Context, req server.RunRequest) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/runs", req, &st)
+func (c *Client) Submit(ctx context.Context, req server.RunRequest) (st server.JobStatus, err error) {
+	err = c.retry(ctx, "submit", func() error {
+		st, err = c.api.Submit(ctx, req)
+		return err
+	})
 	return st, err
 }
 
@@ -157,52 +125,52 @@ func (c *Client) Submit(ctx context.Context, req server.RunRequest) (server.JobS
 // attached.
 func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, *edm.Result, error) {
 	var view server.RunView
-	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+id, nil, &view); err != nil {
-		return server.JobStatus{}, nil, err
-	}
-	return view.JobStatus, view.Result, nil
-}
-
-// Checkpoint requests an on-demand checkpoint of a running job and
-// returns the digest-sealed frame. Single attempt, like Health: the
-// caller is stashing resume state on a cadence and prefers a quick
-// miss over a retry storm against a dying worker. ErrNoCheckpoint
-// when the job finished without a frame.
-func (c *Client) Checkpoint(ctx context.Context, id string) ([]byte, error) {
-	return c.frame(ctx, http.MethodPost, "/v1/runs/"+id+"/checkpoint")
-}
-
-// LatestCheckpoint fetches the newest cadence frame without perturbing
-// the run; server.ErrNoCheckpoint when the run has not checkpointed.
-func (c *Client) LatestCheckpoint(ctx context.Context, id string) ([]byte, error) {
-	return c.frame(ctx, http.MethodGet, "/v1/runs/"+id+"/checkpoint")
-}
-
-func (c *Client) frame(ctx context.Context, method, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		return nil, server.ErrNoCheckpoint
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		return io.ReadAll(resp.Body)
-	default:
-		return nil, fmt.Errorf("dispatch: %s: %s %s: %s: %s",
-			c.cfg.BaseURL, method, path, resp.Status, apiErrorText(resp.Body))
-	}
+	err := c.retry(ctx, "status "+id, func() (err error) {
+		view, err = c.api.Status(ctx, id)
+		return err
+	})
+	return view.JobStatus, view.Result, err
 }
 
 // Cancel requests cancellation of a job (best effort: a terminal job
 // is left as is).
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/runs/"+id, nil, nil)
+	return c.retry(ctx, "cancel "+id, func() error {
+		_, err := c.api.Cancel(ctx, id)
+		return err
+	})
+}
+
+// Checkpoint requests an on-demand checkpoint of a running job and
+// returns the digest-sealed frame. Single attempt, like Health: the
+// caller is stashing resume state on a cadence and prefers a quick
+// miss over a retry storm against a dying worker.
+// server.ErrNoCheckpoint when the job finished without a frame.
+func (c *Client) Checkpoint(ctx context.Context, id string) ([]byte, error) {
+	frame, err := c.api.Checkpoint(ctx, id)
+	return frame, c.once(err)
+}
+
+// LatestCheckpoint fetches the newest cadence frame without perturbing
+// the run; server.ErrNoCheckpoint when the run has not checkpointed.
+func (c *Client) LatestCheckpoint(ctx context.Context, id string) ([]byte, error) {
+	frame, err := c.api.LatestCheckpoint(ctx, id)
+	return frame, c.once(err)
+}
+
+// once classifies a single-attempt call's error: ErrNoCheckpoint
+// passes through, a server rejection keeps its *server.APIError, and
+// anything else means the worker could not be reached.
+func (c *Client) once(err error) error {
+	var apiErr *server.APIError
+	switch {
+	case err == nil, errors.Is(err, server.ErrNoCheckpoint):
+		return err
+	case errors.As(err, &apiErr):
+		return fmt.Errorf("dispatch: %s: %w", c.BaseURL(), err)
+	default:
+		return fmt.Errorf("%w: %s: %w", ErrUnavailable, c.BaseURL(), err)
+	}
 }
 
 // Run executes one request end to end: submit, poll until terminal,
@@ -242,11 +210,11 @@ func (c *Client) run(ctx context.Context, req server.RunRequest, onFrame func([]
 		switch cur.State {
 		case server.StateDone:
 			if res == nil {
-				return nil, fmt.Errorf("%w: %s: job %s done without result", ErrUnavailable, c.cfg.BaseURL, st.ID)
+				return nil, fmt.Errorf("%w: %s: job %s done without result", ErrUnavailable, c.BaseURL(), st.ID)
 			}
 			return res, nil
 		case server.StateFailed, server.StateCancelled:
-			return nil, fmt.Errorf("%w: job %s %s on %s: %s", ErrRunFailed, st.ID, cur.State, c.cfg.BaseURL, cur.Error)
+			return nil, fmt.Errorf("%w: job %s %s on %s: %s", ErrRunFailed, st.ID, cur.State, c.BaseURL(), cur.Error)
 		}
 	}
 }
@@ -303,19 +271,13 @@ func RequestForCell(spec experiment.CellSpec) server.RunRequest {
 	}
 }
 
-// do performs one JSON request/response exchange with the retry
-// policy: transport errors, 5xx and 429 are retried with capped
-// exponential backoff + jitter (Retry-After, integer seconds per RFC
-// 9110, overrides the wait when present); other 4xx are permanent.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
-	var lastErr error
+// retry runs call under the retry policy. A transport failure or a
+// temporary server rejection (APIError.Temporary: 429, 5xx) is retried
+// with capped exponential backoff + jitter, waiting exactly the
+// server's RetryAfter hint when it sent one; any other rejection is
+// permanent. Exhausted retries wrap both ErrUnavailable and the last
+// error.
+func (c *Client) retry(ctx context.Context, op string, call func() error) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.Retries.Add(1)
@@ -323,78 +285,32 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		retryIn, err := c.attempt(ctx, method, path, body, out)
+		err := call()
 		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if retryIn < 0 || attempt >= c.cfg.MaxRetries { // permanent, or out of retries
-			if retryIn < 0 {
-				return err
-			}
-			return fmt.Errorf("%w: %s: %d attempts: %v", ErrUnavailable, c.cfg.BaseURL, attempt+1, lastErr)
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		if retryIn == 0 {
-			retryIn = c.backoff(attempt)
+		var wait time.Duration
+		var apiErr *server.APIError
+		if errors.As(err, &apiErr) {
+			if !apiErr.Temporary() {
+				return fmt.Errorf("dispatch: %s: %s: %w", c.BaseURL(), op, err)
+			}
+			wait = apiErr.RetryAfter
+		}
+		if attempt >= c.cfg.MaxRetries {
+			return fmt.Errorf("%w: %s: %s: %d attempts: %w", ErrUnavailable, c.BaseURL(), op, attempt+1, err)
+		}
+		if wait == 0 {
+			wait = c.backoff(attempt)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(retryIn):
+		case <-time.After(wait):
 		}
-	}
-}
-
-// attempt performs one HTTP exchange. The returned duration encodes
-// the retry decision: <0 permanent failure, 0 retryable (use computed
-// backoff), >0 retryable after exactly that wait (server-provided).
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) (time.Duration, error) {
-	if hook := c.cfg.FaultHook; hook != nil {
-		f := hook(method, path)
-		if f.Delay > 0 {
-			select {
-			case <-ctx.Done():
-				return -1, ctx.Err()
-			case <-time.After(f.Delay):
-			}
-		}
-		if f.Drop {
-			return 0, fmt.Errorf("%w: %s: injected response drop (%s %s)", ErrUnavailable, c.cfg.BaseURL, method, path)
-		}
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
-	if err != nil {
-		return -1, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return -1, ctx.Err()
-		}
-		return 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if out == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return 0, nil
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, fmt.Errorf("%w: %s: decoding %s %s: %v", ErrUnavailable, c.cfg.BaseURL, method, path, err)
-		}
-		return 0, nil
-	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return retryAfter(resp), fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, apiErrorText(resp.Body))
-	default:
-		return -1, fmt.Errorf("dispatch: %s: %s %s: %s: %s", c.cfg.BaseURL, method, path, resp.Status, apiErrorText(resp.Body))
 	}
 }
 
@@ -406,42 +322,4 @@ func (c *Client) backoff(attempt int) time.Duration {
 		d = c.cfg.RetryMax
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// retryAfter parses a Retry-After header as the integer seconds RFC
-// 9110 specifies (0 when absent or malformed).
-func retryAfter(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// apiErrorText extracts the server's error-envelope message
-// ({"code","message",...}, prefixed with the code when present),
-// accepting the legacy {"error": ...} shape and falling back to the
-// raw body for proxy-generated text.
-func apiErrorText(r io.Reader) string {
-	raw, _ := io.ReadAll(io.LimitReader(r, 4<<10))
-	var e struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-		Error   string `json:"error"`
-	}
-	if json.Unmarshal(raw, &e) == nil {
-		switch {
-		case e.Code != "" && e.Message != "":
-			return e.Code + ": " + e.Message
-		case e.Message != "":
-			return e.Message
-		case e.Error != "":
-			return e.Error
-		}
-	}
-	return strings.TrimSpace(string(raw))
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"edm"
 	"edm/internal/server"
 )
 
@@ -20,7 +21,7 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(map[string]string{"error": "transient"})
+			json.NewEncoder(w).Encode(server.ErrorBody{Code: "internal", Message: "transient"})
 			return
 		}
 		json.NewEncoder(w).Encode(server.VersionInfo{Service: "edmd", Version: "x"})
@@ -45,13 +46,14 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 	}
 }
 
+// TestClientPermanent4xxDoesNotRetry covers a code-less 4xx (a proxy
+// answering in plain text): permanent, with the body kept as the
+// message. The envelope cases are in TestClientErrorsKeepServerSentinels.
 func TestClientPermanent4xxDoesNotRetry(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "no such run"})
+		http.Error(w, "no such run", http.StatusNotFound)
 	}))
 	defer ts.Close()
 
@@ -96,64 +98,91 @@ func TestClientExhaustsRetriesAsUnavailable(t *testing.T) {
 	}
 }
 
-// TestAttemptHonoursRetryAfter pins the 429 contract end to end at the
-// attempt level: a Retry-After of integer seconds (RFC 9110) becomes
-// exactly that wait, overriding the computed backoff; absence of the
-// header means "use the computed backoff" (a zero return).
-func TestAttemptHonoursRetryAfter(t *testing.T) {
-	var withHeader atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if withHeader.Load() {
-			w.Header().Set("Retry-After", "7")
-		}
-		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(map[string]string{"error": "queue full"})
-	}))
-	defer ts.Close()
-
-	cfg := fastClient()
-	cfg.BaseURL = ts.URL
-	c := NewClient(cfg)
-
-	withHeader.Store(true)
-	wait, err := c.attempt(context.Background(), http.MethodGet, "/v1/version", nil, nil)
-	if err == nil {
-		t.Fatal("want error from 429")
+// TestClientErrorsKeepServerSentinels pins the error contract against
+// the real envelope: permanent rejections make one attempt and keep
+// the server's sentinel; temporary ones are retried, honour the
+// server's retry hint, and once exhausted wrap both ErrUnavailable and
+// the sentinel.
+func TestClientErrorsKeepServerSentinels(t *testing.T) {
+	submit := func(c *Client) error {
+		_, err := c.Submit(context.Background(), server.RunRequest{Workload: "home02"})
+		return err
 	}
-	if wait != 7*time.Second {
-		t.Errorf("wait = %v, want 7s from Retry-After", wait)
+	status := func(c *Client) error {
+		_, _, err := c.Status(context.Background(), "run-99999999")
+		return err
 	}
-
-	withHeader.Store(false)
-	wait, err = c.attempt(context.Background(), http.MethodGet, "/v1/version", nil, nil)
-	if err == nil {
-		t.Fatal("want error from 429")
-	}
-	if wait != 0 {
-		t.Errorf("wait = %v, want 0 (computed backoff) without Retry-After", wait)
-	}
-}
-
-func TestRetryAfterParsing(t *testing.T) {
 	for _, tc := range []struct {
-		header string
-		want   time.Duration
+		name       string
+		status     int
+		code       string
+		retryAfter string // Retry-After header, empty for none
+		okAfter    int64  // calls after this many succeed (0: never)
+		call       func(*Client) error
+
+		wantOK          bool
+		wantSentinel    error // nil: no sentinel to check
+		wantUnavailable bool
+		wantCalls       int64
+		minElapsed      time.Duration
 	}{
-		{"", 0},
-		{"1", time.Second},
-		{"30", 30 * time.Second},
-		{"-5", 0},
-		{"soon", 0},
-		{"1.5", 0}, // RFC 9110 delay-seconds is an integer
+		{name: "not_found", status: http.StatusNotFound, code: "not_found", call: status,
+			wantSentinel: server.ErrUnknownJob, wantCalls: 1},
+		{name: "bad_request", status: http.StatusBadRequest, code: "bad_request", call: submit,
+			wantCalls: 1},
+		{name: "unknown_workload", status: http.StatusBadRequest, code: "unknown_workload", call: submit,
+			wantSentinel: edm.ErrUnknownWorkload, wantCalls: 1},
+		{name: "load_shed exhausted", status: http.StatusTooManyRequests, code: "load_shed", call: submit,
+			wantSentinel: server.ErrLoadShed, wantUnavailable: true, wantCalls: 3},
+		{name: "queue_full honours Retry-After", status: http.StatusTooManyRequests, code: "queue_full",
+			retryAfter: "1", okAfter: 1, call: submit, wantOK: true, wantCalls: 2, minElapsed: time.Second},
 	} {
-		resp := &http.Response{Header: http.Header{}}
-		if tc.header != "" {
-			resp.Header.Set("Retry-After", tc.header)
-		}
-		if got := retryAfter(resp); got != tc.want {
-			t.Errorf("retryAfter(%q) = %v, want %v", tc.header, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				if n := calls.Add(1); tc.okAfter > 0 && n > tc.okAfter {
+					json.NewEncoder(w).Encode(server.JobStatus{ID: "run-1"})
+					return
+				}
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				w.WriteHeader(tc.status)
+				json.NewEncoder(w).Encode(server.ErrorBody{Code: tc.code, Message: "rejected: " + tc.name})
+			}))
+			defer ts.Close()
+
+			cfg := fastClient() // MaxRetries: 2, backoff <= 4ms
+			cfg.BaseURL = ts.URL
+			c := NewClient(cfg)
+			start := time.Now()
+			err := tc.call(c)
+			elapsed := time.Since(start)
+
+			if (err == nil) != tc.wantOK {
+				t.Fatalf("err = %v, want success %v", err, tc.wantOK)
+			}
+			if tc.wantSentinel != nil && !errors.Is(err, tc.wantSentinel) {
+				t.Fatalf("err = %v, want errors.Is %v", err, tc.wantSentinel)
+			}
+			if got := errors.Is(err, ErrUnavailable); got != tc.wantUnavailable {
+				t.Errorf("errors.Is(err, ErrUnavailable) = %v, want %v (err %v)", got, tc.wantUnavailable, err)
+			}
+			var apiErr *server.APIError
+			if err != nil && !errors.As(err, &apiErr) {
+				t.Errorf("err %v does not wrap *server.APIError", err)
+			}
+			if got := calls.Load(); got != tc.wantCalls {
+				t.Errorf("server saw %d calls, want %d", got, tc.wantCalls)
+			}
+			if got := c.Retries.Load(); got != uint64(tc.wantCalls-1) {
+				t.Errorf("Retries = %d, want %d", got, tc.wantCalls-1)
+			}
+			if elapsed < tc.minElapsed {
+				t.Errorf("call took %v, want >= %v (server retry hint ignored)", elapsed, tc.minElapsed)
+			}
+		})
 	}
 }
 
@@ -178,7 +207,7 @@ func TestHealthDecodesDrainingWorker(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(Health{Status: "draining", Workers: 2})
+		json.NewEncoder(w).Encode(server.HealthInfo{Status: "draining", Workers: 2})
 	}))
 	defer ts.Close()
 
@@ -257,25 +286,6 @@ func TestCellSubmitCarriesSchedulingIdentity(t *testing.T) {
 	}
 	if got.Priority != "batch" || got.Tenant != "sweep-42" {
 		t.Errorf("submission carried priority=%q tenant=%q, want batch/sweep-42", got.Priority, got.Tenant)
-	}
-}
-
-// TestAPIErrorText covers the envelope, legacy and raw-text decode
-// paths of the error extractor.
-func TestAPIErrorText(t *testing.T) {
-	for _, tc := range []struct {
-		body string
-		want string
-	}{
-		{`{"code":"queue_full","message":"queue is full","retry_after_s":2}`, "queue_full: queue is full"},
-		{`{"message":"just a message"}`, "just a message"},
-		{`{"error":"legacy shape"}`, "legacy shape"},
-		{"plain proxy text\n", "plain proxy text"},
-		{`{"unrelated":true}`, `{"unrelated":true}`},
-	} {
-		if got := apiErrorText(strings.NewReader(tc.body)); got != tc.want {
-			t.Errorf("apiErrorText(%q) = %q, want %q", tc.body, got, tc.want)
-		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package dispatch is the distributed sweep coordinator: it shards an
 // experiment matrix into independent cell specs, fans them out over a
-// fleet of edmd workers through a typed retrying HTTP client, and
-// reassembles the results into the exact []experiment.Cell a local
-// Matrix run would have produced.
+// fleet of edmd workers, and reassembles the results into the exact
+// []experiment.Cell a local Matrix run would have produced. Workers are
+// reached through server.Client, the repo's one wire client; this
+// package adds only retries, job polling and the fleet logic.
 //
 // The design leans on one property of the simulation: a cell's result
 // is a pure function of its CellSpec. That makes every fault-tolerance
@@ -16,9 +17,13 @@
 //
 // Fault model, in escalating order:
 //
-//   - transient faults (connection refused/reset, 5xx, 429): the
-//     Client retries with capped exponential backoff + jitter,
-//     honouring Retry-After on 429/503;
+//   - transient faults (transport errors, and rejections for which
+//     server.APIError.Temporary holds: 5xx, 429): the Client retries
+//     with capped exponential backoff + jitter, waiting exactly
+//     APIError.RetryAfter when the server sent a hint; any other
+//     rejection is permanent and keeps its server sentinel. Tests
+//     inject these faults with a chaos.HTTPScript installed as the
+//     ClientConfig.HTTP transport;
 //   - worker faults (retries exhausted, worker draining or dead): the
 //     Pool marks the worker unhealthy, reassigns its in-flight cells
 //     to the rest of the fleet, and re-probes /healthz until the

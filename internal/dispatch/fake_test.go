@@ -138,10 +138,10 @@ func (w *fakeWorker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
 	if w.mode.Load() == modeDrain {
 		rw.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(rw).Encode(Health{Status: "draining", Workers: 1})
+		json.NewEncoder(rw).Encode(server.HealthInfo{Status: "draining", Workers: 1})
 		return
 	}
-	json.NewEncoder(rw).Encode(Health{Status: "ok", Workers: 1})
+	json.NewEncoder(rw).Encode(server.HealthInfo{Status: "ok", Workers: 1})
 }
 
 func (w *fakeWorker) handleVersion(rw http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -200,7 +201,9 @@ func (c *Client) json(ctx context.Context, method, path string, in, out any) err
 // ErrorBody envelope's code and message when the body parses (with a
 // raw-text fallback for proxies and panics that bypass the handler),
 // and the retry hint from the Retry-After header or the envelope's
-// retry_after_s, whichever the server sent.
+// retry_after_s, whichever the server sent. Only non-negative integer
+// seconds count as a hint (RFC 9110 delay-seconds); anything else is
+// treated as absent.
 func decodeAPIError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	e := &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
@@ -208,12 +211,12 @@ func decodeAPIError(resp *http.Response) error {
 	if json.Unmarshal(raw, &body) == nil && body.Code != "" {
 		e.Code = body.Code
 		e.Message = body.Message
-		e.RetryAfter = time.Duration(body.RetryAfterS) * time.Second
-	}
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if d, err := time.ParseDuration(v + "s"); err == nil {
-			e.RetryAfter = d
+		if body.RetryAfterS > 0 {
+			e.RetryAfter = time.Duration(body.RetryAfterS) * time.Second
 		}
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+		e.RetryAfter = time.Duration(secs) * time.Second
 	}
 	return e
 }

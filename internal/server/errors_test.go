@@ -174,3 +174,67 @@ func TestSentinelsOverTheWire(t *testing.T) {
 		}
 	})
 }
+
+// decodeBody runs decodeAPIError over a synthetic response.
+func decodeBody(t *testing.T, status int, retryAfter, body string) *APIError {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	if retryAfter != "" {
+		rec.Header().Set("Retry-After", retryAfter)
+	}
+	rec.WriteHeader(status)
+	rec.WriteString(body)
+	var ae *APIError
+	if !errors.As(decodeAPIError(rec.Result()), &ae) {
+		t.Fatalf("decodeAPIError did not return an *APIError")
+	}
+	return ae
+}
+
+// TestDecodeAPIErrorBodies covers the envelope and raw-text decode
+// paths: a body without an envelope code is kept verbatim (trimmed)
+// as the message and maps to no sentinel.
+func TestDecodeAPIErrorBodies(t *testing.T) {
+	for _, tc := range []struct {
+		body, code, message string
+	}{
+		{`{"code":"queue_full","message":"queue is full","retry_after_s":2}`, "queue_full", "queue is full"},
+		{`{"message":"just a message"}`, "", `{"message":"just a message"}`},
+		{"plain proxy text\n", "", "plain proxy text"},
+		{`{"unrelated":true}`, "", `{"unrelated":true}`},
+	} {
+		ae := decodeBody(t, http.StatusTooManyRequests, "", tc.body)
+		if ae.Code != tc.code || ae.Message != tc.message {
+			t.Errorf("decode(%q) = code %q message %q, want %q / %q", tc.body, ae.Code, ae.Message, tc.code, tc.message)
+		}
+		if (tc.code == "") != (ae.Unwrap() == nil) {
+			t.Errorf("decode(%q) sentinel = %v", tc.body, ae.Unwrap())
+		}
+	}
+}
+
+// TestRetryAfterParsing pins the retry hint to RFC 9110 delay-seconds:
+// a non-negative integer in the Retry-After header, else the
+// envelope's positive retry_after_s, else no hint at all.
+func TestRetryAfterParsing(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		body   string
+		want   time.Duration
+	}{
+		{"", "", 0},
+		{"1", "", time.Second},
+		{"30", "", 30 * time.Second},
+		{"-5", "", 0},
+		{"soon", "", 0},
+		{"1.5", "", 0}, // delay-seconds is an integer
+		{"", `{"code":"queue_full","message":"m","retry_after_s":3}`, 3 * time.Second},
+		{"", `{"code":"queue_full","message":"m","retry_after_s":-3}`, 0},
+		{"soon", `{"code":"queue_full","message":"m","retry_after_s":-3}`, 0},
+		{"7", `{"code":"queue_full","message":"m","retry_after_s":3}`, 7 * time.Second},
+	} {
+		if got := decodeBody(t, http.StatusTooManyRequests, tc.header, tc.body).RetryAfter; got != tc.want {
+			t.Errorf("Retry-After %q, body %q: RetryAfter = %v, want %v", tc.header, tc.body, got, tc.want)
+		}
+	}
+}
