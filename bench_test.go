@@ -9,7 +9,7 @@
 // The per-figure benches use a deeper workload scale than cmd/edmbench's
 // default so `go test -bench` stays in seconds; use cmd/edmbench for the
 // paper-shaped output at full experiment scale.
-package edm
+package edm_test
 
 import (
 	"testing"

@@ -112,6 +112,13 @@ type Spec struct {
 
 	// Cluster lets callers override low-level knobs; fields set here
 	// win over the equivalents above when non-zero.
+	//
+	// Cluster.Scratch, when set, donates recycled hot-path buffers to
+	// the run. Once the run and any WithCheck audit are over, Run
+	// refills it with the run's grown buffers, also when the run fails,
+	// so the caller can donate it to its next run. One Scratch must not
+	// be shared by concurrent runs. (Resume never sees one: checkpoint
+	// frames drop it from the spec they embed.)
 	Cluster cluster.Config
 
 	// MigrationConfig overrides the planners' shared tunables.
@@ -131,22 +138,41 @@ func BuildTrace(spec Spec) (*trace.Trace, error) {
 	if spec.Trace != nil {
 		return spec.Trace, nil
 	}
+	p, err := spec.profile()
+	if err != nil {
+		return nil, err
+	}
+	return trace.Generate(p, spec.Seed)
+}
+
+// profile resolves the spec's named workload at its scale.
+func (spec Spec) profile() (trace.Profile, error) {
 	scale := spec.Scale
 	if scale < 1 {
 		scale = 1
 	}
-	var p trace.Profile
 	if spec.Workload == "random" {
-		p = trace.RandomProfile(2000, 400000).Scaled(scale)
-	} else {
-		prof, ok := trace.LookupProfile(spec.Workload)
-		if !ok {
-			return nil, fmt.Errorf("edm: unknown workload %q (have %v and random): %w",
-				spec.Workload, trace.ProfileNames(), ErrUnknownWorkload)
-		}
-		p = prof.Scaled(scale)
+		return trace.RandomProfile(2000, 400000).Scaled(scale), nil
 	}
-	return trace.Generate(p, spec.Seed)
+	prof, ok := trace.LookupProfile(spec.Workload)
+	if !ok {
+		return trace.Profile{}, fmt.Errorf("edm: unknown workload %q (have %v and random): %w",
+			spec.Workload, trace.ProfileNames(), ErrUnknownWorkload)
+	}
+	return prof.Scaled(scale), nil
+}
+
+// Validate reports the errors NewCluster would reject the spec for
+// without generating its trace: an unknown workload name (wrapping
+// ErrUnknownWorkload; skipped when Trace is set) or a cluster shape the
+// simulator cannot build (wrapping cluster.ErrInvalidConfig).
+func (spec Spec) Validate() error {
+	if spec.Trace == nil {
+		if _, err := spec.profile(); err != nil {
+			return err
+		}
+	}
+	return spec.clusterConfig().Validate()
 }
 
 // NewCluster builds the simulated cluster for a spec (exposed for
@@ -156,6 +182,20 @@ func NewCluster(spec Spec) (*cluster.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl, err := cluster.New(spec.clusterConfig(), tr)
+	if err != nil {
+		return nil, err
+	}
+	if planner := spec.planner(); planner != nil {
+		cl.SetPlanner(planner)
+	}
+	return cl, nil
+}
+
+// clusterConfig merges the spec's top-level fields into Spec.Cluster:
+// a non-zero Cluster field wins, and the migration mode always comes
+// from the spec.
+func (spec Spec) clusterConfig() cluster.Config {
 	cfg := spec.Cluster
 	if cfg.OSDs == 0 {
 		cfg.OSDs = spec.OSDs
@@ -170,15 +210,7 @@ func NewCluster(spec Spec) (*cluster.Cluster, error) {
 		cfg.Seed = spec.Seed
 	}
 	cfg.Migration = spec.migrationMode()
-
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	if planner := spec.planner(); planner != nil {
-		cl.SetPlanner(planner)
-	}
-	return cl, nil
+	return cfg
 }
 
 func (spec Spec) migrationMode() cluster.MigrationMode {

@@ -2,6 +2,8 @@ package edm
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"edm/internal/cluster"
@@ -168,5 +170,76 @@ func TestSpecClusterOverridesWin(t *testing.T) {
 	}
 	if res.OSDs != 8 {
 		t.Fatalf("cluster override ignored: %d OSDs", res.OSDs)
+	}
+}
+
+// TestSpecValidate: Validate rejects exactly what NewCluster would,
+// without generating a trace — unknown workloads (unless an explicit
+// trace replaces the name) and cluster shapes the placement layout or
+// RAID geometry cannot build.
+func TestSpecValidate(t *testing.T) {
+	tr, err := BuildTrace(quickSpec(PolicyBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+		want   error
+	}{
+		{"valid", func(*Spec) {}, nil},
+		{"random workload", func(s *Spec) { s.Workload = "random" }, nil},
+		{"unknown workload", func(s *Spec) { s.Workload = "nope" }, ErrUnknownWorkload},
+		{"explicit trace ignores name", func(s *Spec) { s.Workload, s.Trace = "nope", tr }, nil},
+		{"osds not divisible by groups", func(s *Spec) { s.OSDs = 17 }, cluster.ErrInvalidConfig},
+		{"groups not dividing osds", func(s *Spec) { s.Groups = 5 }, cluster.ErrInvalidConfig},
+		{"objects per file above groups", func(s *Spec) { s.ObjectsPerFile = 9 }, cluster.ErrInvalidConfig},
+		{"stripe too narrow for parity", func(s *Spec) { s.Groups, s.ObjectsPerFile = 2, 2 }, cluster.ErrInvalidConfig},
+		{"negative osds", func(s *Spec) { s.OSDs = -4 }, cluster.ErrInvalidConfig},
+		{"cluster override wins", func(s *Spec) { s.OSDs, s.Cluster.OSDs = 17, 16 }, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := quickSpec(PolicyHDF)
+			tc.mutate(&spec)
+			err := spec.Validate()
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Validate() = %v, want wrapping %v", err, tc.want)
+			}
+			if _, err := NewCluster(spec); !errors.Is(err, tc.want) {
+				t.Fatalf("NewCluster accepted a spec Validate rejects: %v", err)
+			}
+		})
+	}
+}
+
+// TestRunRefillsDonatedScratch: a Scratch donated through
+// Spec.Cluster.Scratch comes back holding the run's grown buffers, and
+// a run that reuses it gives the same result as a fresh one.
+func TestRunRefillsDonatedScratch(t *testing.T) {
+	spec := quickSpec(PolicyHDF)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := &cluster.Scratch{}
+	spec.Cluster.Scratch = scr
+	for i := 0; i < 2; i++ {
+		got, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.ValueOf(*scr).IsZero() {
+			t.Fatalf("run %d left the donated scratch empty", i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d with a recycled scratch diverged", i)
+		}
 	}
 }

@@ -171,17 +171,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	layout := placement.Layout{N: cfg.OSDs, M: cfg.Groups, K: cfg.ObjectsPerFile, Sizes: cfg.GroupSizes}
-	if cfg.GroupRotate {
-		layout.Mode = placement.ModeGroupRotate
-	}
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
-	}
-	geom := raid.Geometry{K: cfg.ObjectsPerFile, StripeUnit: cfg.StripeUnit}
-	if err := geom.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
-	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
@@ -189,8 +178,8 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		eng:        sim.New(),
-		layout:     layout,
-		geom:       geom,
+		layout:     cfg.layout(),
+		geom:       cfg.geometry(),
 		remap:      remap.New(),
 		stream:     rng.New(cfg.Seed ^ 0xedc0ffee),
 		tr:         tr,

@@ -17,6 +17,8 @@ import (
 
 	"edm/internal/flash"
 	"edm/internal/metrics"
+	"edm/internal/placement"
+	"edm/internal/raid"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
 )
@@ -251,9 +253,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Validate reports configuration errors after defaulting. Every failure
-// wraps ErrInvalidConfig.
+// Validate reports the errors New would reject the config for: zero
+// fields take their defaults first, then the cluster shape, placement
+// layout and RAID geometry are checked. Every failure wraps
+// ErrInvalidConfig.
 func (c Config) Validate() error {
+	c.applyDefaults()
 	switch {
 	case c.OSDs <= 0:
 		return fmt.Errorf("cluster: need at least 1 OSD, got %d: %w", c.OSDs, ErrInvalidConfig)
@@ -262,7 +267,27 @@ func (c Config) Validate() error {
 	case c.LoadEWMAAlpha <= 0 || c.LoadEWMAAlpha > 1:
 		return fmt.Errorf("cluster: load EWMA alpha %v out of (0,1]: %w", c.LoadEWMAAlpha, ErrInvalidConfig)
 	}
+	if err := c.layout().Validate(); err != nil {
+		return fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
+	}
+	if err := c.geometry().Validate(); err != nil {
+		return fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
+	}
 	return nil
+}
+
+// layout is the placement layout of a defaulted config.
+func (c Config) layout() placement.Layout {
+	l := placement.Layout{N: c.OSDs, M: c.Groups, K: c.ObjectsPerFile, Sizes: c.GroupSizes}
+	if c.GroupRotate {
+		l.Mode = placement.ModeGroupRotate
+	}
+	return l
+}
+
+// geometry is the RAID geometry of a defaulted config.
+func (c Config) geometry() raid.Geometry {
+	return raid.Geometry{K: c.ObjectsPerFile, StripeUnit: c.StripeUnit}
 }
 
 // newLoadEWMA builds the per-OSD load factor estimator.

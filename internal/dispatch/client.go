@@ -253,8 +253,8 @@ func (c *Client) cellRequest(spec experiment.CellSpec) server.RunRequest {
 
 // RequestForCell converts a cell spec to the wire request an edmd
 // worker executes. The mapping is total: every CellSpec field lands in
-// the request, and the worker-side defaults (groups=4, k=4) match the
-// local harness, so remote and local runs are byte-identical.
+// the request, and the worker's RunRequest.Spec turns it back into
+// exactly spec.Spec(), so remote and local runs are byte-identical.
 func RequestForCell(spec experiment.CellSpec) server.RunRequest {
 	name, err := spec.Policy.MarshalText()
 	if err != nil {

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"edm"
+	"edm/internal/experiment"
 	"edm/internal/server"
 )
 
@@ -245,6 +247,24 @@ func TestRunReportsFailedJobAsRunFailed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("job error lost: %v", err)
+	}
+}
+
+// TestRequestForCellKeepsSpec pins the remote half of the one
+// cell → spec translation: the run request a worker receives converts
+// back (RunRequest.Spec) to exactly the edm.Spec a local RunCell
+// executes, for every matrix cell with and without Check.
+func TestRequestForCellKeepsSpec(t *testing.T) {
+	for _, check := range []bool{false, true} {
+		for _, c := range experiment.MatrixSpecs(experiment.Options{Scale: 50, Seed: 9, Check: check}) {
+			got, err := RequestForCell(c).Spec()
+			if err != nil {
+				t.Fatalf("RequestForCell(%s).Spec(): %v", c.Key(), err)
+			}
+			if want := c.Spec(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("RequestForCell(%s).Spec() = %+v, want %+v", c.Key(), got, want)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"edm"
 	"edm/internal/cluster"
 	"edm/internal/migration"
 	"edm/internal/sim"
@@ -48,31 +49,26 @@ func (r *AblationResult) Format() string {
 	return b.String()
 }
 
-// ablationRun executes home02 on 16 OSDs with a custom planner factory.
-// Periodic-trigger runs compress the wear monitor's cadence to match the
-// scaled replay's virtual timescale (the paper's one-minute cadence is
-// calibrated to a multi-hour replay).
-func ablationRun(opts Options, label string, mode cluster.MigrationMode, planner migration.Planner) AblationRow {
-	tr, err := buildTrace("home02", opts)
-	if err != nil {
-		return AblationRow{Label: label, Err: err}
-	}
-	cfg := cluster.Config{OSDs: 16, Groups: 4, ObjectsPerFile: 4, Seed: opts.Seed, Migration: mode}
+// ablationSpec is the home02 run on 16 OSDs that every ablation
+// varies: policy p under controller mode and planner config mcfg. The
+// ablations pin λ through mcfg, so opts.Lambda does not apply.
+// Periodic-trigger runs compress the wear monitor's cadence to match
+// the scaled replay's virtual timescale (the paper's one-minute cadence
+// is calibrated to a multi-hour replay).
+func ablationSpec(opts Options, p Policy, mode cluster.MigrationMode, mcfg migration.Config) edm.Spec {
+	spec := opts.cell("home02", 16, p).Spec()
+	spec.Lambda = 0
+	spec.MigrationMode = &mode
+	spec.MigrationConfig = &mcfg
 	if mode == cluster.MigratePeriodic {
-		cfg.TemperatureInterval = sim.Second
+		spec.Cluster.TemperatureInterval = sim.Second
 	}
-	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return AblationRow{Label: label, Err: err}
-	}
-	if planner != nil {
-		cl.SetPlanner(planner)
-	}
-	out, err := cl.Run()
-	scratchPool.Put(cl.Release())
+	return spec
+}
+
+// ablationRun executes one labelled ablation configuration.
+func ablationRun(opts Options, label string, spec edm.Spec) AblationRow {
+	out, err := run(opts, "ablation."+label, spec)
 	if err != nil {
 		return AblationRow{Label: label, Err: err}
 	}
@@ -103,7 +99,7 @@ func AblationLambda(opts Options) *AblationResult {
 		jobs[i] = func() {
 			cfg := migration.DefaultConfig()
 			cfg.Lambda = l
-			rows[i] = ablationRun(opts, fmt.Sprintf("lambda=%.2f", l), cluster.MigratePeriodic, migration.NewHDF(cfg))
+			rows[i] = ablationRun(opts, fmt.Sprintf("lambda=%.2f", l), ablationSpec(opts, HDF, cluster.MigratePeriodic, cfg))
 		}
 	}
 	pool(opts.Parallelism, jobs)
@@ -124,12 +120,12 @@ func AblationRemapPreference(opts Options) *AblationResult {
 		func() {
 			cfg := migration.DefaultConfig()
 			cfg.PreferRemapped = true
-			rows[0] = ablationRun(opts, "prefer-remapped=on", cluster.MigratePeriodic, migration.NewHDF(cfg))
+			rows[0] = ablationRun(opts, "prefer-remapped=on", ablationSpec(opts, HDF, cluster.MigratePeriodic, cfg))
 		},
 		func() {
 			cfg := migration.DefaultConfig()
 			cfg.PreferRemapped = false
-			rows[1] = ablationRun(opts, "prefer-remapped=off", cluster.MigratePeriodic, migration.NewHDF(cfg))
+			rows[1] = ablationRun(opts, "prefer-remapped=off", ablationSpec(opts, HDF, cluster.MigratePeriodic, cfg))
 		},
 	}
 	pool(opts.Parallelism, jobs)
@@ -152,40 +148,9 @@ func AblationGroups(opts Options) *AblationResult {
 	for i, m := range groups {
 		i, m := i, m
 		jobs[i] = func() {
-			label := fmt.Sprintf("m=%d", m)
-			tr, err := buildTrace("home02", opts)
-			if err != nil {
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			k := 4
-			if m < k {
-				k = m
-			}
-			cfg := cluster.Config{OSDs: 16, Groups: m, ObjectsPerFile: k, Seed: opts.Seed, Migration: cluster.MigrateMidpoint}
-			scr := scratchPool.Get().(*cluster.Scratch)
-			cfg.Scratch = scr
-			cl, err := cluster.New(cfg, tr)
-			if err != nil {
-				scratchPool.Put(scr)
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			cl.SetPlanner(migration.NewHDF(migration.DefaultConfig()))
-			out, err := cl.Run()
-			scratchPool.Put(cl.Release())
-			if err != nil {
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			rows[i] = AblationRow{
-				Label:        label,
-				Throughput:   out.ThroughputOps,
-				Erases:       out.AggregateErases,
-				EraseRSD:     rsdOf(out.EraseCounts),
-				MovedObjects: out.MovedObjects,
-				RemapPeak:    out.RemapPeak,
-			}
+			spec := ablationSpec(opts, HDF, cluster.MigrateMidpoint, migration.DefaultConfig())
+			spec.Groups, spec.ObjectsPerFile = m, min(m, 4)
+			rows[i] = ablationRun(opts, fmt.Sprintf("m=%d", m), spec)
 		}
 	}
 	pool(opts.Parallelism, jobs)
@@ -209,7 +174,7 @@ func AblationCDFCutoff(opts Options) *AblationResult {
 		jobs[i] = func() {
 			cfg := migration.DefaultConfig()
 			cfg.MinSourceUtilization = c
-			rows[i] = ablationRun(opts, fmt.Sprintf("cutoff=%.2f", c), cluster.MigrateMidpoint, migration.NewCDF(cfg))
+			rows[i] = ablationRun(opts, fmt.Sprintf("cutoff=%.2f", c), ablationSpec(opts, CDF, cluster.MigrateMidpoint, cfg))
 		}
 	}
 	pool(opts.Parallelism, jobs)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"sync"
 
+	"edm"
 	"edm/internal/cluster"
 	"edm/internal/trace"
 )
@@ -29,17 +30,17 @@ var (
 // accumulating memory.
 const traceCacheLimit = 64
 
-// cachedTrace returns the memoized trace for the key, generating and
-// caching it on first use.
-func cachedTrace(name string, opts Options) (*trace.Trace, error) {
-	key := traceKey{name: name, scale: opts.Scale, seed: opts.Seed}
+// cachedTrace returns the memoized trace of the spec's named workload,
+// generating it with edm.BuildTrace and caching it on first use.
+func cachedTrace(spec edm.Spec) (*trace.Trace, error) {
+	key := traceKey{name: spec.Workload, scale: spec.Scale, seed: spec.Seed}
 	traceMu.Lock()
 	tr := traceCache[key]
 	traceMu.Unlock()
 	if tr != nil {
 		return tr, nil
 	}
-	tr, err := generateTrace(name, opts)
+	tr, err := edm.BuildTrace(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -54,5 +55,6 @@ func cachedTrace(name string, opts Options) (*trace.Trace, error) {
 
 // scratchPool recycles per-run hot-path buffers (RAID access scratch,
 // completion records, histogram storage) across the worker pool, so a
-// 56-run matrix reuses memory instead of re-growing it 56 times.
+// 56-run matrix reuses memory instead of re-growing it 56 times. Each
+// run donates one through Spec.Cluster.Scratch, and edm.Run refills it.
 var scratchPool = sync.Pool{New: func() any { return &cluster.Scratch{} }}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"edm"
 	"edm/internal/cluster"
 )
 
@@ -40,19 +41,36 @@ func MatrixSpecs(opts Options) []CellSpec {
 	for _, tr := range opts.Traces {
 		for _, n := range opts.OSDCounts {
 			for _, p := range AllPolicies {
-				specs = append(specs, CellSpec{
-					Trace:  tr,
-					OSDs:   n,
-					Policy: p,
-					Scale:  opts.Scale,
-					Seed:   opts.Seed,
-					Lambda: opts.Lambda,
-					Check:  opts.Check,
-				})
+				specs = append(specs, opts.cell(tr, n, p))
 			}
 		}
 	}
 	return specs
+}
+
+// cell is the spec of one (trace, cluster size, policy) run under
+// defaulted opts. Every figure experiment describes its runs this way,
+// so they all share the matrix's translation to edm.Spec.
+func (o Options) cell(tr string, osds int, p Policy) CellSpec {
+	return CellSpec{Trace: tr, OSDs: osds, Policy: p, Scale: o.Scale, Seed: o.Seed, Lambda: o.Lambda, Check: o.Check}
+}
+
+// Spec is the edm.Spec the cell runs: the one cell → spec translation,
+// which an edmd worker reproduces through RequestForCell and
+// RunRequest.Spec. Groups and ObjectsPerFile stay zero, so the cluster
+// defaults both to the paper's 4; Check turns on the cluster's
+// end-of-run self-check.
+func (s CellSpec) Spec() edm.Spec {
+	spec := edm.Spec{
+		Workload: s.Trace,
+		Scale:    s.Scale,
+		OSDs:     s.OSDs,
+		Policy:   s.Policy,
+		Lambda:   s.Lambda,
+		Seed:     s.Seed,
+	}
+	spec.Cluster.SelfCheck = s.Check
+	return spec
 }
 
 // Key is the cell's deduplication identity: hedged or reassigned
@@ -82,25 +100,13 @@ func (s CellSpec) String() string {
 	return fmt.Sprintf("%s/%d/%s", s.Trace, s.OSDs, s.Policy)
 }
 
-// options reconstructs the Options equivalent under which the spec's
-// cell would run inside a local Matrix sweep.
-func (s CellSpec) options(ctx context.Context) Options {
-	return Options{
-		Context:  ctx,
-		Scale:    s.Scale,
-		Seed:     s.Seed,
-		Lambda:   s.Lambda,
-		Check:    s.Check,
-		expLabel: "cell",
-	}.withDefaults()
-}
-
 // RunCell executes one cell locally. The result is byte-identical to
 // the same cell's slot in Matrix under equivalent Options — RunCell is
 // both the coordinator's graceful-degradation path and the reference
 // a remote execution must reproduce.
 func RunCell(ctx context.Context, s CellSpec) (*cluster.Result, error) {
-	return runOne(s.Trace, s.OSDs, s.Policy, s.options(ctx))
+	spec := s.Spec()
+	return run(Options{Context: ctx}, runLabel("cell", spec), spec)
 }
 
 // Cell packages an execution outcome as the figure-table cell for this

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"edm"
 )
 
 // cellTestOpts is a sweep small enough (~15ms per cell) for end-to-end
@@ -95,8 +97,8 @@ func TestCellSpecWireCasing(t *testing.T) {
 
 // TestRunCellMatchesMatrix pins the distributed sweep's core
 // guarantee: executing a decomposed cell spec (as the local fallback
-// or a worker would) reproduces the exact result the local Matrix
-// harness computes for that slot.
+// or a worker would, or as a bare edm.Run of CellSpec.Spec) reproduces
+// the exact result the local Matrix harness computes for that slot.
 func TestRunCellMatchesMatrix(t *testing.T) {
 	opts := cellTestOpts()
 	cells := Matrix(opts)
@@ -135,6 +137,18 @@ func TestRunCellMatchesMatrix(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("RunCell(%s) result not byte-identical to matrix cell", spec)
+		}
+		// A bare edm.Run of the cell's spec — no trace memo, no
+		// recycled scratch — is the same run too.
+		direct, err := edm.Run(context.Background(), spec.Spec())
+		if err != nil {
+			t.Fatalf("edm.Run(%s): %v", spec, err)
+		}
+		if got, err = json.Marshal(direct); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("edm.Run(%s.Spec()) result not byte-identical to matrix cell", spec)
 		}
 	}
 }

@@ -71,9 +71,10 @@ type Options struct {
 	Context context.Context
 
 	// Telemetry, when enabled, makes every simulation the experiments
-	// launch through the shared runner write its event log, snapshot
-	// CSV and Chrome trace into Telemetry.Dir, one file set per
-	// (experiment, trace, OSDs, policy) run.
+	// launch write its event log, snapshot CSV and Chrome trace into
+	// Telemetry.Dir, one file set per run, named by experiment, trace,
+	// OSDs and policy (plus the variant, for ablation rows and
+	// open-loop load levels).
 	Telemetry telemetry.SinkConfig
 
 	// expLabel prefixes telemetry file names so experiments that replay
@@ -153,7 +154,8 @@ func Matrix(opts Options) []Cell {
 		c, s := &cells[i], specs[i]
 		cells[i] = Cell{Trace: s.Trace, OSDs: s.OSDs, Policy: s.Policy}
 		jobs[i] = func() {
-			c.Result, c.Err = runOne(c.Trace, c.OSDs, c.Policy, opts)
+			spec := s.Spec()
+			c.Result, c.Err = run(opts, runLabel(opts.expLabel, spec), spec)
 		}
 	}
 	pool(opts.Parallelism, jobs)

@@ -1,8 +1,23 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"edm"
+)
+
+// SHA-256 digests of the non-matrix experiments' results under
+// fastOpts (see checkDigest).
+const (
+	fig1Digest        = "94306ec3780d4d9441c3b8ad875869a70ccfd0c60225ee7f0c02cbbad9e5eb90"
+	fig7Digest        = "cfc87bf12ab87cfe4b43fc5f16046aa0c682196a7651351048e7c1a06f820b5d"
+	openLoopDigest    = "a560778b5a2464c8b2b17da3bd2fba0c0956d451db9c702e214383008e14db67"
+	ablationsDigest   = "3b4b8884a1a966820bd8b5e11dc2907859784697d1b6627b4bc4c463d96ea410"
+	reliabilityDigest = "ba2cd180ba8cded17b8f719bcdd23b74b105d1e59076c2c9c7c44a8a9ee602f9"
 )
 
 // fastOpts keeps experiment tests quick: deep scale, one cluster size,
@@ -13,6 +28,23 @@ func fastOpts() Options {
 		Seed:      5,
 		OSDCounts: []int{16},
 		Traces:    []string{"home02", "lair62"},
+	}
+}
+
+// checkDigest pins an experiment's returned result: the SHA-256 of its
+// JSON encoding must equal want. The constants were recorded from the
+// hand-assembled cluster construction these experiments used before
+// they ran through edm.Run, so any drift in the shared construction
+// path shows up here.
+func checkDigest(t *testing.T, res any, want string) {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("marshal result: %v", err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("result digest = %s, want %s", got, want)
 	}
 }
 
@@ -103,6 +135,7 @@ func TestFig1(t *testing.T) {
 	if out := res.Format(); !strings.Contains(out, "RSD") {
 		t.Fatalf("format:\n%s", out)
 	}
+	checkDigest(t, res, fig1Digest)
 }
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
@@ -167,6 +200,7 @@ func TestFig7(t *testing.T) {
 	if out := res.Format(); !strings.Contains(out, "migration window") {
 		t.Fatalf("format:\n%s", out)
 	}
+	checkDigest(t, res, fig7Digest)
 }
 
 func TestAblationsRun(t *testing.T) {
@@ -174,7 +208,8 @@ func TestAblationsRun(t *testing.T) {
 		t.Skip("ablations are slow")
 	}
 	opts := fastOpts()
-	for _, res := range Ablations(opts) {
+	all := Ablations(opts)
+	for _, res := range all {
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s: no rows", res.Name)
 		}
@@ -187,10 +222,11 @@ func TestAblationsRun(t *testing.T) {
 			t.Fatalf("format:\n%s", out)
 		}
 	}
+	checkDigest(t, all, ablationsDigest)
 }
 
 func TestBuildTraceErrors(t *testing.T) {
-	if _, err := buildTrace("bogus", fastOpts()); err == nil {
+	if _, err := cachedTrace(edm.Spec{Workload: "bogus", Scale: 400}); err == nil {
 		t.Fatal("unknown trace should fail")
 	}
 }
@@ -265,6 +301,7 @@ func TestAblationOpenLoop(t *testing.T) {
 	if !strings.Contains(res.Format(), "open-loop") {
 		t.Fatal("format incomplete")
 	}
+	checkDigest(t, res, openLoopDigest)
 }
 
 // TestMatrixWithSelfCheck runs a small matrix cell set with Options.Check

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"edm/internal/cluster"
 	"edm/internal/sim"
 	"edm/internal/trace"
 )
@@ -105,7 +104,8 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	for i, name := range traces {
 		i, name := i, name
 		jobs[i] = func() {
-			out, err := runOne(name, res.OSDs, Baseline, opts)
+			spec := opts.cell(name, res.OSDs, Baseline).Spec()
+			out, err := run(opts, runLabel(opts.expLabel, spec), spec)
 			if err != nil {
 				errs[i] = err
 				return
@@ -312,9 +312,9 @@ func Fig7(opts Options) (*Fig7Result, error) {
 				// The paper buckets by 3 real minutes over a multi-hour
 				// replay (~1/150 of the run); the scaled replay gets a
 				// proportionally fine bucket.
-				out, err := runOneWith(tr, res.OSDs, p, opts, func(cfg *cluster.Config) {
-					cfg.ResponseBucket = sim.Second / 2
-				})
+				spec := opts.cell(tr, res.OSDs, p).Spec()
+				spec.Cluster.ResponseBucket = sim.Second / 2
+				out, err := run(opts, runLabel(opts.expLabel, spec), spec)
 				if err != nil {
 					slots[i].err = err
 					return

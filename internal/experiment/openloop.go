@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"edm/internal/cluster"
 )
 
 // OpenLoopRow is one (load level, policy) cell of the open-loop study.
@@ -40,7 +38,8 @@ func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 	opts.expLabel = "openloop"
 	res := &OpenLoopResult{Trace: "home02", OSDs: 16}
 
-	base, err := runOne(res.Trace, res.OSDs, Baseline, opts)
+	baseSpec := opts.cell(res.Trace, res.OSDs, Baseline).Spec()
+	base, err := run(opts, runLabel(opts.expLabel, baseSpec), baseSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +55,10 @@ func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 			idx, f, p := i, f, p
 			i++
 			jobs = append(jobs, func() {
-				out, err := runOneWith(res.Trace, res.OSDs, p, opts, func(cfg *cluster.Config) {
-					cfg.OpenLoopRate = res.BaselineOps * f
-				})
+				spec := opts.cell(res.Trace, res.OSDs, p).Spec()
+				spec.Cluster.OpenLoopRate = res.BaselineOps * f
+				label := fmt.Sprintf("%s.load%.0f", runLabel(opts.expLabel, spec), f*100)
+				out, err := run(opts, label, spec)
 				row := OpenLoopRow{LoadFraction: f, Policy: p, Err: err}
 				if err == nil {
 					row.MeanRTms = out.MeanResponse * 1000

@@ -62,11 +62,13 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 	}
 
 	rows := make([]ReliabilityRow, len(AllPolicies))
+	var uniformHDF *cluster.Result // the throughput reference for the staggered run
 	jobs := make([]func(), len(AllPolicies))
 	for i, p := range AllPolicies {
 		i, p := i, p
 		jobs[i] = func() {
-			out, err := runOne(res.Trace, res.OSDs, p, opts)
+			spec := opts.cell(res.Trace, res.OSDs, p).Spec()
+			out, err := run(opts, runLabel(opts.expLabel, spec), spec)
 			if err != nil {
 				rows[i] = ReliabilityRow{Policy: p, Err: err}
 				return
@@ -95,6 +97,9 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 				}
 			}
 			rows[i] = row
+			if p == HDF {
+				uniformHDF = out
+			}
 		}
 	}
 	pool(opts.Parallelism, jobs)
@@ -124,29 +129,10 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 
 	// Simulated §III.D staggering: replay with the staggered group
 	// sizes actually configured and measure per-group wear speeds.
-	tr, err := buildTrace(res.Trace, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cluster.Config{
-		OSDs:           res.OSDs,
-		Groups:         4,
-		ObjectsPerFile: 4,
-		GroupRotate:    true,
-		GroupSizes:     sizes,
-		Seed:           opts.Seed,
-		Migration:      cluster.MigrateMidpoint,
-	}
-	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return nil, err
-	}
-	cl.SetPlanner(plannerFor(HDF, opts))
-	out, err := cl.Run()
-	scratchPool.Put(cl.Release())
+	spec := opts.cell(res.Trace, res.OSDs, HDF).Spec()
+	spec.Cluster.GroupRotate = true
+	spec.Cluster.GroupSizes = sizes
+	out, err := run(opts, runLabel(opts.expLabel+"-staggered", spec), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -161,12 +147,7 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 		}
 		res.MeasuredGroupWear[g] = sum / float64(size)
 	}
-	// The uniform-group HDF run provides the throughput reference.
-	uniformOut, err := runOne(res.Trace, res.OSDs, HDF, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.UniformThroughput = uniformOut.ThroughputOps
+	res.UniformThroughput = uniformHDF.ThroughputOps
 	return res, nil
 }
 

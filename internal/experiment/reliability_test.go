@@ -65,4 +65,5 @@ func TestReliability(t *testing.T) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
 	}
+	checkDigest(t, res, reliabilityDigest)
 }

@@ -3,99 +3,38 @@ package experiment
 import (
 	"fmt"
 
+	"edm"
 	"edm/internal/cluster"
-	"edm/internal/migration"
-	"edm/internal/trace"
 )
 
-// buildTrace materialises a named workload at the experiment scale,
-// memoizing the result: the matrix replays one generated trace under
-// many policies and cluster sizes, and replay never mutates it.
-func buildTrace(name string, opts Options) (*trace.Trace, error) {
-	return cachedTrace(name, opts)
-}
-
-// generateTrace is the uncached generation path behind buildTrace.
-func generateTrace(name string, opts Options) (*trace.Trace, error) {
-	if name == "random" {
-		return trace.Generate(trace.RandomProfile(2000, 400000).Scaled(opts.Scale), opts.Seed)
-	}
-	p, ok := trace.LookupProfile(name)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown workload %q: %w", name, trace.ErrUnknownProfile)
-	}
-	return trace.Generate(p.Scaled(opts.Scale), opts.Seed)
-}
-
-// plannerFor constructs the policy's planner (nil for the baseline).
-func plannerFor(p Policy, opts Options) migration.Planner {
-	cfg := migration.DefaultConfig()
-	cfg.Lambda = opts.Lambda
-	switch p {
-	case CMT:
-		return migration.NewCMT(cfg)
-	case HDF:
-		return migration.NewHDF(cfg)
-	case CDF:
-		return migration.NewCDF(cfg)
-	}
-	return nil
-}
-
-// runOne executes a single (trace, OSDs, policy) simulation with the
-// paper's methodology: warm-up to steady state, midpoint shuffle.
-func runOne(name string, osds int, p Policy, opts Options) (*cluster.Result, error) {
-	return runOneWith(name, osds, p, opts, nil)
-}
-
-// runOneWith additionally lets an experiment adjust the cluster config
-// (e.g. Fig. 7's finer response-time buckets) before the run.
-func runOneWith(name string, osds int, p Policy, opts Options, tweak func(*cluster.Config)) (*cluster.Result, error) {
+// run executes one experiment simulation through edm.Run, the
+// construction path the library and edmd use. The harness adds only
+// what a sweep shares across runs: the memoized trace, a recycled
+// Scratch from the pool, the Options context, and — when telemetry is
+// on — a sink whose file set is named label.
+func run(opts Options, label string, spec edm.Spec) (*cluster.Result, error) {
 	ctx := opts.ctx()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiment: %s/%d/%s not started: %w", name, osds, p, err)
+		return nil, fmt.Errorf("experiment: %s not started: %w", label, err)
 	}
-	tr, err := buildTrace(name, opts)
+	tr, err := cachedTrace(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := cluster.Config{
-		OSDs:           osds,
-		Groups:         4,
-		ObjectsPerFile: 4,
-		Seed:           opts.Seed,
-		SelfCheck:      opts.Check,
-	}
-	if p == Baseline {
-		cfg.Migration = cluster.MigrateNever
-	} else {
-		cfg.Migration = cluster.MigrateMidpoint
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	sink, err := opts.Telemetry.NewSink(runLabel(opts.expLabel, name, osds, p))
+	spec.Trace = tr
+	sink, err := opts.Telemetry.NewSink(label)
 	if err != nil {
 		return nil, err
 	}
 	if sink != nil {
-		cfg.Recorder = sink.Tracer
-		cfg.Metrics = sink.Registry
-		cfg.SampleInterval = opts.Telemetry.Sample
+		spec.Cluster.Recorder = sink.Tracer
+		spec.Cluster.Metrics = sink.Registry
+		spec.Cluster.SampleInterval = opts.Telemetry.Sample
 	}
-	// Recycle hot-path buffers from earlier runs in this sweep.
 	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return nil, err
-	}
-	if planner := plannerFor(p, opts); planner != nil {
-		cl.SetPlanner(planner)
-	}
-	res, err := cl.RunContext(ctx)
-	scratchPool.Put(cl.Release())
+	spec.Cluster.Scratch = scr
+	res, err := edm.Run(ctx, spec)
+	scratchPool.Put(scr)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +48,9 @@ func runOneWith(name string, osds int, p Policy, opts Options, tweak func(*clust
 
 // runLabel names one run's telemetry file set uniquely within an
 // edmbench invocation: experiment, trace, cluster size, policy.
-func runLabel(exp, trace string, osds int, p Policy) string {
+func runLabel(exp string, s edm.Spec) string {
 	if exp == "" {
 		exp = "run"
 	}
-	return fmt.Sprintf("%s.%s.%d.%s", exp, trace, osds, p)
+	return fmt.Sprintf("%s.%s.%d.%s", exp, s.Workload, s.OSDs, s.Policy)
 }

@@ -48,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"edm/internal/metrics"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
 )
@@ -238,10 +239,10 @@ type Scheduler struct {
 	// shares are comparable across the scheduler's whole life.
 	usage map[string]float64
 
-	// avgRunS is the EWMA of observed run durations in seconds (0 = no
-	// observation yet); waitEWMA the per-class EWMA of queue waits.
-	avgRunS  float64
-	waitEWMA [numClasses]float64
+	// avgRunS is the EWMA of observed run durations in seconds;
+	// waitEWMA the per-class EWMA of queue waits (both α = estAlpha).
+	avgRunS  *metrics.EWMA
+	waitEWMA [numClasses]*metrics.EWMA
 
 	preemptions uint64
 	shedCount   uint64
@@ -257,10 +258,12 @@ func New(cfg Config) *Scheduler {
 		cfg:     cfg,
 		running: make(map[*Ticket]struct{}),
 		usage:   make(map[string]float64),
+		avgRunS: metrics.NewEWMA(estAlpha),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for c := range s.queues {
 		s.queues[c] = make(map[string]*tenantQueue)
+		s.waitEWMA[c] = metrics.NewEWMA(estAlpha)
 	}
 	return s
 }
@@ -435,7 +438,7 @@ func (s *Scheduler) Next() *Ticket {
 		if tk := s.popLocked(); tk != nil {
 			now := time.Now()
 			wait := now.Sub(tk.enqueued).Seconds()
-			s.waitEWMA[tk.class] = ewma(s.waitEWMA[tk.class], wait)
+			s.waitEWMA[tk.class].Observe(wait)
 			s.dequeued[tk.class]++
 			tk.started = now
 			tk.preempting = false
@@ -518,7 +521,7 @@ func (s *Scheduler) Finish(tk *Ticket) {
 	}
 	delete(s.running, tk)
 	d := s.chargeLocked(tk)
-	s.avgRunS = ewma(s.avgRunS, d)
+	s.avgRunS.Observe(d)
 	s.cond.Broadcast()
 }
 
@@ -543,21 +546,16 @@ func (s *Scheduler) chargeLocked(tk *Ticket) float64 {
 	return d
 }
 
-// ewma folds one observation into a smoothed average (α = 0.3; the
-// first observation seeds the average).
-func ewma(avg, x float64) float64 {
-	if avg == 0 {
-		return x
-	}
-	return 0.3*x + 0.7*avg
-}
+// estAlpha smooths the run-duration and queue-wait estimates; the
+// first observation seeds each average.
+const estAlpha = 0.3
 
 // ObserveRun feeds one run duration into the estimator without a
 // ticket — used by recovery paths and tests to seed the estimates.
 func (s *Scheduler) ObserveRun(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.avgRunS = ewma(s.avgRunS, d.Seconds())
+	s.avgRunS.Observe(d.Seconds())
 }
 
 // Close stops admissions. Next keeps returning queued tickets until
@@ -577,7 +575,7 @@ func (s *Scheduler) Close() {
 // running backlog entirely — preemption frees a slot in roughly one
 // checkpoint, not one run.
 func (s *Scheduler) estimateLocked(class Class) time.Duration {
-	if s.avgRunS == 0 {
+	if !s.avgRunS.Started() {
 		return 0 // no data; admit and let observation start
 	}
 	ahead := 0
@@ -593,17 +591,18 @@ func (s *Scheduler) estimateLocked(class Class) time.Duration {
 			}
 		}
 	}
-	est := (float64(ahead)*s.avgRunS + busy*s.avgRunS/2) / float64(s.cfg.Workers)
+	avg := s.avgRunS.Value()
+	est := (float64(ahead)*avg + busy*avg/2) / float64(s.cfg.Workers)
 	return time.Duration(est * float64(time.Second))
 }
 
 // slotFreeLocked estimates when a queue slot frees: the nearest
 // expected completion among the busy workers (each ~half done).
 func (s *Scheduler) slotFreeLocked() time.Duration {
-	if s.avgRunS == 0 || len(s.running) == 0 {
+	if !s.avgRunS.Started() || len(s.running) == 0 {
 		return 0
 	}
-	return time.Duration(s.avgRunS / 2 / float64(s.cfg.Workers) * float64(time.Second))
+	return time.Duration(s.avgRunS.Value() / 2 / float64(s.cfg.Workers) * float64(time.Second))
 }
 
 // EstimateWait returns the live queue-wait estimate for the class
@@ -675,12 +674,12 @@ func (s *Scheduler) Registry() *telemetry.Registry {
 		{"sched.load_shed_total", float64(s.shedCount)},
 		{"sched.max_wait_rejected_total", float64(s.maxWaitRej)},
 		{"sched.running", float64(len(s.running))},
-		{"sched.avg_run_s", s.avgRunS},
+		{"sched.avg_run_s", s.avgRunS.Value()},
 	}
 	for _, c := range Classes() {
 		rows = append(rows,
 			snap{"sched.queue_depth." + c.String(), float64(s.queuedByClass[c])},
-			snap{"sched.queue_wait_s." + c.String(), s.waitEWMA[c]},
+			snap{"sched.queue_wait_s." + c.String(), s.waitEWMA[c].Value()},
 			snap{"sched.dequeued_total." + c.String(), float64(s.dequeued[c])},
 		)
 	}

@@ -431,7 +431,7 @@ func TestAbortSkipsEstimates(t *testing.T) {
 	tk := s.Next()
 	s.Abort(tk)
 	s.mu.Lock()
-	avg, usage := s.avgRunS, s.usage[""]
+	avg, usage := s.avgRunS.Value(), s.usage[""]
 	s.mu.Unlock()
 	if avg != 0 || usage != 0 {
 		t.Fatalf("Abort polluted estimates: avg=%v usage=%v", avg, usage)

@@ -16,7 +16,6 @@ import (
 	"edm/internal/sched"
 	"edm/internal/snapshot"
 	"edm/internal/telemetry"
-	"edm/internal/trace"
 )
 
 // State is a job's lifecycle phase. Queued, running and preempted are
@@ -111,10 +110,13 @@ func (r RunRequest) class() (sched.Class, error) {
 }
 
 // Spec validates the request and converts it to an edm.Spec. The
-// returned error wraps edm.ErrUnknownWorkload for bad workload names,
-// so the HTTP layer can map it to 400. A resume request is validated
-// by decoding its newest frame; the frame's embedded spec is returned
-// (so status views show what is actually running).
+// converted spec must pass edm.Spec.Validate, so a request edmd could
+// not build fails here (400) instead of queueing: the error wraps
+// edm.ErrUnknownWorkload for bad workload names and
+// cluster.ErrInvalidConfig for impossible cluster shapes. A resume
+// request is validated by decoding its newest frame; the frame's
+// embedded spec is returned (so status views show what is actually
+// running).
 func (r RunRequest) Spec() (edm.Spec, error) {
 	if r.TimeoutS < 0 {
 		return edm.Spec{}, fmt.Errorf("server: negative timeout_s %v", r.TimeoutS)
@@ -143,12 +145,6 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 	if spec.Workload == "" {
 		return edm.Spec{}, errors.New("server: missing workload")
 	}
-	if spec.Workload != "random" {
-		if _, ok := trace.LookupProfile(spec.Workload); !ok {
-			return edm.Spec{}, fmt.Errorf("server: workload %q (valid: %v, random): %w",
-				spec.Workload, trace.ProfileNames(), edm.ErrUnknownWorkload)
-		}
-	}
 	if spec.Scale == 0 {
 		spec.Scale = 20
 	}
@@ -171,6 +167,9 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 			return edm.Spec{}, fmt.Errorf("server: %w", err)
 		}
 		spec.MigrationMode = &mode
+	}
+	if err := spec.Validate(); err != nil {
+		return edm.Spec{}, fmt.Errorf("server: %w", err)
 	}
 	return spec, nil
 }

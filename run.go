@@ -97,8 +97,9 @@ func WithCheck() RunOption {
 // runEnv is a wired, ready-to-run cluster plus the option-driven
 // decorations that need post-run work.
 type runEnv struct {
-	cl *cluster.Cluster
-	ck *check.Checker
+	cl      *cluster.Cluster
+	ck      *check.Checker
+	scratch *cluster.Scratch
 }
 
 // setup builds the trace and the cluster and applies every option:
@@ -202,7 +203,15 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 			return snapshot.Capture(cl, specJSON, traceData).EncodeTo(w)
 		})
 	}
-	return &runEnv{cl: cl, ck: ck}, nil
+	return &runEnv{cl: cl, ck: ck, scratch: spec.Cluster.Scratch}, nil
+}
+
+// release refills a caller-donated Scratch with the run's buffers; it
+// runs last, after the WithCheck audit has read the cluster.
+func (e *runEnv) release() {
+	if e.scratch != nil {
+		*e.scratch = *e.cl.Release()
+	}
 }
 
 // audit is the post-run half of WithCheck.
@@ -237,6 +246,7 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer env.release()
 	res, err := env.cl.RunContext(ctx)
 	if err != nil {
 		return nil, err
