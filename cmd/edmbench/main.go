@@ -10,7 +10,7 @@
 // Experiments: check, table1, fig1, fig3, fig5, fig6, fig7, fig8,
 // ablation, reliability, stress. Figs. 5, 6 and 8 are projections of one
 // shared run matrix and are computed together when requested together.
-// check runs the golden-shape regression suite (internal/check) and
+// check runs the golden-shape regression suite (experiment.Golden) and
 // exits non-zero naming the first failing shape. stress runs the
 // randomized fault-injection harness (internal/chaos) — excluded from
 // "all", request it by name:
@@ -45,7 +45,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
 		osds     = flag.String("osds", "16,20", "comma-separated cluster sizes for the matrix experiments")
 		lambda   = flag.Float64("lambda", 0.1, "wear-imbalance trigger threshold λ")
-		selfchk  = flag.Bool("check", false, "run every experiment simulation with the cluster state self-check enabled")
+		selfchk  = flag.Bool("check", false, "run every experiment simulation under the full invariant harness (event-stream checker + state audit; slower)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock cap on the whole invocation (0 = none); Ctrl-C also cancels")
 
 		stressN         = flag.Int("stress-n", 1000, "stress: number of randomized scenarios (seeded from -seed)")
@@ -161,12 +161,7 @@ func main() {
 	}
 
 	run("check", func() (string, error) {
-		results := check.Golden(check.GoldenOptions{
-			Scale:  *scale,
-			OSDs:   counts[0],
-			Seed:   *seed,
-			Lambda: *lambda,
-		})
+		results := experiment.Golden(opts)
 		out := check.FormatResults(results)
 		if f := check.FirstFailure(results); f != nil {
 			return "", fmt.Errorf("golden shape %s failed: %v\n%s", f.Name, f.Err, out)

@@ -69,7 +69,7 @@ func sweep(args []string) {
 		osds        = fs.String("osds", "16,20", "comma-separated cluster sizes")
 		traces      = fs.String("traces", "", "comma-separated workloads (default: all seven)")
 		lambda      = fs.Float64("lambda", 0.1, "wear-imbalance trigger threshold λ")
-		check       = fs.Bool("check", false, "run every cell with the cluster state self-check enabled")
+		check       = fs.Bool("check", false, "run every cell under the full invariant harness (event-stream checker + state audit; slower)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock cap on the whole sweep (0 = none); Ctrl-C also cancels")
 
 		slots       = fs.Int("slots", 0, "in-flight cells per worker (0: size from the worker's /v1/version)")

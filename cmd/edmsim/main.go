@@ -41,7 +41,7 @@ func main() {
 		lambda    = flag.Float64("lambda", 0.1, "trigger threshold λ")
 		migration = flag.String("migration", "", "override controller mode: never | midpoint | periodic")
 		timeout   = flag.Duration("timeout", 0, "wall-clock cap on the run (0 = none); Ctrl-C also cancels")
-		selfCheck = flag.Bool("check", false, "run with invariant checking: event-stream checker + end-of-run state audit; non-zero exit on any violation")
+		selfCheck = flag.Bool("check", false, "run under the full invariant harness (event-stream checker + state audit; slower); non-zero exit on any violation")
 		chaosPlan = flag.String("chaos", "", "inject faults from a chaos plan JSON file (see internal/chaos); non-zero exit on a fault-aware invariant violation")
 
 		checkpointFile  = flag.String("checkpoint", "", "append digest-sealed snapshot frames to this file during the run (continue a killed run with -resume)")

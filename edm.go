@@ -26,8 +26,9 @@
 // down to the discrete-event engine, which polls it every few thousand
 // events — and options attach process-local concerns: WithCheckpoint
 // writes digest-sealed snapshots a later Resume continues from with
-// byte-identical output, WithTelemetry attaches an event recorder, and
-// WithCheck runs the full invariant-checking harness.
+// byte-identical output and WithTelemetry attaches an event recorder. A
+// spec with Cluster.SelfCheck set (or a run given WithCheck) runs under
+// the full invariant-checking harness.
 package edm
 
 import (
@@ -114,7 +115,7 @@ type Spec struct {
 	// win over the equivalents above when non-zero.
 	//
 	// Cluster.Scratch, when set, donates recycled hot-path buffers to
-	// the run. Once the run and any WithCheck audit are over, Run
+	// the run. Once the run and any checked-run audit are over, Run
 	// refills it with the run's grown buffers, also when the run fails,
 	// so the caller can donate it to its next run. One Scratch must not
 	// be shared by concurrent runs. (Resume never sees one: checkpoint

@@ -15,16 +15,17 @@
 //     cross-checks the two views — e.g. erase events observed against
 //     each SSD's erase counter.
 //
-//   - A golden-shape suite (see Golden) that reruns DESIGN.md §3's
-//     "expected shapes" as programmatic assertions over small seeded
-//     runs: Fig. 1's baseline wear variance, Fig. 5's HDF throughput
-//     win, Fig. 6's HDF erase reduction, Fig. 7's HDF blocking spike,
-//     and Fig. 8's CMT > CDF ≥ HDF moved-object ordering. Every golden
-//     run executes with the full invariant checker attached.
+//   - The golden shapes (see FigureShapes): DESIGN.md §3's "expected
+//     shapes" as pure assertions over run results — Fig. 1's baseline
+//     wear variance, Fig. 5's HDF throughput win, Fig. 6's HDF erase
+//     reduction, Fig. 7's HDF blocking spike, and Fig. 8's
+//     CMT > CDF ≥ HDF moved-object ordering. The suite that produces
+//     those runs, checked, is experiment.Golden.
 //
-// The package is wired behind cluster.Config.SelfCheck and
-// experiment.Options.Check, and exposed on the CLIs as `edmsim -check`
-// and `edmbench -exp check`.
+// edm.Run wires the checker and Audit into every run whose spec sets
+// cluster.Config.SelfCheck (edm.WithCheck, experiment.Options.Check,
+// edmd's "check", and the CLIs' -check); `edmbench -exp check` runs the
+// golden suite.
 package check
 
 import (

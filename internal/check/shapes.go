@@ -5,49 +5,7 @@ import (
 
 	"edm/internal/cluster"
 	"edm/internal/metrics"
-	"edm/internal/migration"
-	"edm/internal/sim"
-	"edm/internal/trace"
 )
-
-// GoldenOptions sizes the golden-shape suite. The defaults reproduce
-// DESIGN.md §3's expected shapes on a small-but-real workload in a few
-// seconds; tests' short mode shrinks the cluster further.
-type GoldenOptions struct {
-	// Trace is the workload profile (default home02, the paper's most
-	// skewed trace and the one every figure leads with).
-	Trace string
-	// Scale is the workload scale divisor (default 20 — the repo's
-	// standard reproduction scale, where every shape margin is widest;
-	// short-mode tests halve the work with 40).
-	Scale int
-	// OSDs is the cluster size (default 16, the paper's first matrix
-	// column; short-mode tests reduce to 8).
-	OSDs int
-	// Seed drives trace generation (default 42).
-	Seed uint64
-	// Lambda is the migration trigger threshold λ (default 0.1).
-	Lambda float64
-}
-
-func (o GoldenOptions) withDefaults() GoldenOptions {
-	if o.Trace == "" {
-		o.Trace = "home02"
-	}
-	if o.Scale == 0 {
-		o.Scale = 20
-	}
-	if o.OSDs == 0 {
-		o.OSDs = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Lambda == 0 {
-		o.Lambda = 0.1
-	}
-	return o
-}
 
 // ShapeResult is one golden shape's verdict. Detail reports the measured
 // numbers even on success, so a drifting margin is visible before it
@@ -84,117 +42,18 @@ func FormatResults(results []ShapeResult) string {
 	return out
 }
 
-// goldenRun is one policy's checked simulation.
-type goldenRun struct {
-	res     *cluster.Result
-	rep     *Report
-	objects int // total objects in the cluster (files × k)
-}
-
-// runChecked executes one (policy, workload) cell with the paper's
-// midpoint-shuffle methodology and the full invariant machinery on: the
-// cluster's state self-check plus the event-stream checker.
-func runChecked(policy string, opts GoldenOptions) (*goldenRun, error) {
-	p, ok := trace.LookupProfile(opts.Trace)
-	if !ok {
-		return nil, fmt.Errorf("unknown trace profile %q", opts.Trace)
+// FigureShapes asserts DESIGN.md §3's five figure shapes over the
+// golden suite's four runs of one workload (baseline and the three
+// migration policies); objects is the workload's total object count
+// (files × k). The suite that produces the runs is experiment.Golden.
+func FigureShapes(base, hdf, cdf, cmt *cluster.Result, objects int) []ShapeResult {
+	return []ShapeResult{
+		shapeWearVariance(base),
+		shapeThroughput(base, hdf),
+		shapeErases(base, hdf, cmt),
+		shapeBlockingSpike(base, hdf),
+		shapeMovedOrdering(cmt, cdf, hdf, objects),
 	}
-	tr, err := trace.Generate(p.Scaled(opts.Scale), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cluster.Config{
-		OSDs:           opts.OSDs,
-		Groups:         4,
-		ObjectsPerFile: 4,
-		Seed:           opts.Seed,
-		SelfCheck:      true,
-		// Fine response buckets so the Fig. 7 blocking spike is visible
-		// on a small scaled run (the default 3min bucket averages it
-		// away).
-		ResponseBucket: sim.Second / 2,
-	}
-	mcfg := migration.DefaultConfig()
-	mcfg.Lambda = opts.Lambda
-	var planner migration.Planner
-	switch policy {
-	case "baseline":
-		cfg.Migration = cluster.MigrateNever
-	case "hdf":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewHDF(mcfg)
-	case "cdf":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewCDF(mcfg)
-	case "cmt":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewCMT(mcfg)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", policy)
-	}
-	ck := Wrap(nil)
-	cfg.Recorder = ck
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	Bind(ck, cl)
-	if planner != nil {
-		cl.SetPlanner(planner)
-	}
-	res, err := cl.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &goldenRun{
-		res:     res,
-		rep:     Audit(cl, ck),
-		objects: len(tr.Files) * cfg.ObjectsPerFile,
-	}, nil
-}
-
-// goldenPolicies is the suite's run set, in execution order.
-var goldenPolicies = []string{"baseline", "hdf", "cdf", "cmt"}
-
-// Golden runs the golden-shape regression suite: four checked
-// simulations of the same workload (baseline and the three migration
-// policies), then DESIGN.md §3's expected shapes as assertions over
-// their results. The returned slice has one entry per shape, failures
-// included; FirstFailure picks the verdict.
-func Golden(opts GoldenOptions) []ShapeResult {
-	opts = opts.withDefaults()
-	runs := make(map[string]*goldenRun, len(goldenPolicies))
-	for _, policy := range goldenPolicies {
-		out, err := runChecked(policy, opts)
-		if err != nil {
-			return []ShapeResult{{Name: "run-" + policy, Err: err}}
-		}
-		runs[policy] = out
-	}
-
-	results := []ShapeResult{shapeInvariants(runs)}
-	base, hdf, cdf, cmt := runs["baseline"], runs["hdf"], runs["cdf"], runs["cmt"]
-	results = append(results,
-		shapeWearVariance(base.res),
-		shapeThroughput(base.res, hdf.res),
-		shapeErases(base.res, hdf.res, cmt.res),
-		shapeBlockingSpike(base.res, hdf.res),
-		shapeMovedOrdering(cmt.res, cdf.res, hdf.res, hdf.objects),
-	)
-	return results
-}
-
-// shapeInvariants folds the per-run invariant reports into one shape:
-// every golden run must execute with zero violations.
-func shapeInvariants(runs map[string]*goldenRun) ShapeResult {
-	s := ShapeResult{Name: "invariants"}
-	events := 0
-	for _, policy := range goldenPolicies {
-		run := runs[policy]
-		events += run.rep.Events
-		if err := run.rep.Err(); err != nil && s.Err == nil {
-			s.Err = fmt.Errorf("%s run: %v\n%s", policy, err, run.rep)
-		}
-	}
-	s.Detail = fmt.Sprintf("%d events checked across %d runs", events, len(runs))
-	return s
 }
 
 // shapeWearVariance is Fig. 1: under hash placement alone, skewed write

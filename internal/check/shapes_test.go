@@ -8,40 +8,6 @@ import (
 	"edm/internal/metrics"
 )
 
-// goldenTestOptions picks the suite size: the canonical reproduction
-// cell in full mode, a reduced cluster in short mode.
-func goldenTestOptions(t *testing.T) GoldenOptions {
-	t.Helper()
-	if testing.Short() {
-		return GoldenOptions{Scale: 40, OSDs: 8}
-	}
-	return GoldenOptions{} // defaults: home02, scale 20, 16 OSDs, seed 42
-}
-
-// TestGolden is the golden-shape regression suite: DESIGN.md §3's
-// expected shapes asserted over checked, seeded runs.
-func TestGolden(t *testing.T) {
-	results := Golden(goldenTestOptions(t))
-	if len(results) != 6 {
-		t.Fatalf("expected 6 shapes, got %d:\n%s", len(results), FormatResults(results))
-	}
-	for _, s := range results {
-		if s.Err != nil {
-			t.Errorf("%s", s.String())
-		} else {
-			t.Logf("%s", s.String())
-		}
-	}
-}
-
-func TestGoldenRejectsUnknownTrace(t *testing.T) {
-	results := Golden(GoldenOptions{Trace: "nope", Scale: 40, OSDs: 8})
-	f := FirstFailure(results)
-	if f == nil || !strings.Contains(f.Err.Error(), "nope") {
-		t.Fatalf("unknown trace not surfaced: %v", results)
-	}
-}
-
 func TestFormatResultsNamesEveryShape(t *testing.T) {
 	results := []ShapeResult{
 		{Name: "fig6-hdf-erases", Detail: "fine"},

@@ -86,9 +86,8 @@ type Cluster struct {
 	queueBuf []sim.QueueEntry
 
 	// Telemetry (nil/zero when disabled — the hot paths nil-check).
-	rec      telemetry.Recorder
-	parked   *telemetry.Counter
-	respHist *telemetry.Histogram
+	rec    telemetry.Recorder
+	parked *telemetry.Counter
 
 	// HDF blocking (§V.D): requests whose target object is locked by an
 	// in-flight move park on a wait list until the move commits.
@@ -243,7 +242,11 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 	reg.Gauge("moved_objects", func(sim.Time) float64 { return float64(len(c.moves)) })
 	reg.Gauge("remap_entries", func(sim.Time) float64 { return float64(c.remap.Stats().Entries) })
 	c.parked = reg.Counter("parked_ops")
-	c.respHist = reg.Histogram("response_s")
+	// The response distribution so far, read off respAll, which already
+	// holds every op's response time.
+	reg.Gauge("response_s.count", func(sim.Time) float64 { return float64(c.respAll.Count()) })
+	reg.Gauge("response_s.mean", func(sim.Time) float64 { return c.respAll.Mean() })
+	reg.Gauge("response_s.p99", func(sim.Time) float64 { return c.respAll.Quantile(0.99) })
 	for _, o := range c.osds {
 		o := o
 		reg.Gauge(fmt.Sprintf("osd%d.erases", o.ID), func(sim.Time) float64 {

@@ -175,6 +175,9 @@ type Config struct {
 	// the replay drains (see Audit) and fail with a descriptive error if
 	// any is violated. The audit walks every SSD's mapping tables, so it
 	// is meant for tests and checked reproduction runs, not benchmarks.
+	// On a spec given to edm.Run it switches on the full invariant
+	// harness, whose combined audit includes this one (edm then builds
+	// the cluster with SelfCheck off, so the audit runs once).
 	SelfCheck bool
 
 	// Recorder receives typed telemetry events (request lifecycles,

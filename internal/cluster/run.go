@@ -468,9 +468,6 @@ func (c *Cluster) opCompleted(issued, done sim.Time) {
 	rt := (done - issued).Seconds()
 	c.respAll.Observe(rt)
 	c.respSeries.Observe(done.Seconds(), rt)
-	if c.respHist != nil {
-		c.respHist.Observe(rt)
-	}
 	if c.migrating {
 		c.respMigr.Observe(rt)
 	}

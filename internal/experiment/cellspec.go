@@ -58,8 +58,8 @@ func (o Options) cell(tr string, osds int, p Policy) CellSpec {
 // Spec is the edm.Spec the cell runs: the one cell → spec translation,
 // which an edmd worker reproduces through RequestForCell and
 // RunRequest.Spec. Groups and ObjectsPerFile stay zero, so the cluster
-// defaults both to the paper's 4; Check turns on the cluster's
-// end-of-run self-check.
+// defaults both to the paper's 4; Check sets Cluster.SelfCheck, which
+// runs the cell under the full invariant harness.
 func (s CellSpec) Spec() edm.Spec {
 	spec := edm.Spec{
 		Workload: s.Trace,

@@ -58,10 +58,10 @@ type Options struct {
 	Traces []string
 	// Lambda is the trigger threshold (default 0.1).
 	Lambda float64
-	// Check enables the cluster's end-of-run state self-check on every
-	// simulation the experiments launch: a run that violates a
-	// conservation law fails with a descriptive error instead of
-	// contributing silently-wrong numbers to a figure.
+	// Check runs every simulation the experiments launch under the full
+	// invariant harness (it sets edm.Spec.Cluster.SelfCheck): a run that
+	// violates a conservation law fails with a descriptive error instead
+	// of contributing silently-wrong numbers to a figure.
 	Check bool
 
 	// Context, when non-nil, bounds every simulation the experiment

@@ -305,7 +305,7 @@ func TestAblationOpenLoop(t *testing.T) {
 }
 
 // TestMatrixWithSelfCheck runs a small matrix cell set with Options.Check
-// on: every simulation must pass the cluster's end-of-run state audit.
+// on: every simulation must pass the full invariant harness.
 func TestMatrixWithSelfCheck(t *testing.T) {
 	opts := fastOpts()
 	opts.Traces = []string{"home02"}

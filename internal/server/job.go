@@ -62,9 +62,11 @@ type RunRequest struct {
 	Lambda float64 `json:"lambda,omitempty"`
 	// Seed drives workload generation and the simulation.
 	Seed uint64 `json:"seed,omitempty"`
-	// Check enables the cluster's end-of-run state self-check: a run
-	// that violates a conservation law fails instead of returning
-	// silently-wrong numbers (distributed sweeps forward their -check).
+	// Check runs the job under the full invariant harness (it sets
+	// edm.Spec.Cluster.SelfCheck): a run that violates a conservation
+	// law fails instead of returning silently-wrong numbers. A resume
+	// takes the flag from its frame's spec. Distributed sweeps forward
+	// their -check.
 	Check bool `json:"check,omitempty"`
 	// TimeoutS caps the job's wall-clock execution in seconds; 0 defers
 	// to the server's -job-timeout (the smaller of the two wins).

@@ -206,11 +206,27 @@ func New(cfg Config) *Server {
 // before the worker pool starts, so recovered jobs keep submission
 // order. Recovery is capped at the queue capacity; any surplus stays on
 // disk for the next restart.
+//
+// Nothing recovery cannot use is left behind to wedge or litter every
+// later restart: a .req that does not decode or build is removed with
+// its .ckpt, and so is a .ckpt without a .req (bindState does not stop
+// a submission whose .req write failed). A .ckpt is consumed on
+// recovery: a readable stream moves into the request's Resume, which
+// bindState persists in the rewritten .req, and the file is removed
+// either way, so the rerun's frames start a clean stream — ReadLast
+// stops at a torn or garbage frame and would never see frames appended
+// after one.
 func (s *Server) recoverState() {
 	if s.cfg.StateDir == "" {
 		return
 	}
 	_ = os.MkdirAll(s.cfg.StateDir, 0o755)
+	ckpts, _ := filepath.Glob(filepath.Join(s.cfg.StateDir, "run-*.ckpt"))
+	for _, ck := range ckpts {
+		if _, err := os.Stat(strings.TrimSuffix(ck, ".ckpt") + ".req"); errors.Is(err, os.ErrNotExist) {
+			_ = os.Remove(ck)
+		}
+	}
 	names, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "run-*.req"))
 	if err != nil {
 		return
@@ -218,23 +234,26 @@ func (s *Server) recoverState() {
 	sort.Strings(names)
 	for _, name := range names {
 		id := strings.TrimSuffix(filepath.Base(name), ".req")
+		ckPath := filepath.Join(s.cfg.StateDir, id+".ckpt")
 		raw, err := os.ReadFile(name)
 		if err != nil {
 			continue
 		}
 		var req RunRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			_ = os.Remove(name) // undecodable: drop, or it wedges every restart
+			_ = os.Remove(name)
+			_ = os.Remove(ckPath)
 			continue
 		}
-		if ck, err := os.ReadFile(filepath.Join(s.cfg.StateDir, id+".ckpt")); err == nil {
+		if ck, err := os.ReadFile(ckPath); err == nil {
 			if _, err := snapshot.ReadLast(bytes.NewReader(ck)); err == nil {
 				req.Resume = ck
 			}
+			_ = os.Remove(ckPath)
 		}
 		spec, err := req.Spec()
 		if err != nil {
-			_ = os.Remove(name)
+			_ = os.Remove(name) // its .ckpt, if any, is already gone
 			continue
 		}
 		class, err := req.class()
@@ -491,9 +510,6 @@ func (s *Server) runJob(j *job, tk *sched.Ticket) {
 	var res *edm.Result
 	var err error
 	if frame := j.resumeSource(); frame != nil {
-		if j.req.Check {
-			opts = append(opts, edm.WithCheck())
-		}
 		res, err = edm.Resume(ctx, bytes.NewReader(frame), opts...)
 	} else {
 		res, err = edm.Run(ctx, j.spec, opts...)

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"edm/internal/metrics"
 	"edm/internal/sim"
 )
 
-// Registry holds named counters, gauges and histograms and samples them
+// Registry holds named counters and gauges and samples them
 // into a snapshot series on a virtual-time cadence. Metrics contribute
 // columns in registration order, so the CSV export is deterministic.
 //
@@ -82,26 +81,6 @@ func (r *Registry) Gauge(name string, fn func(now sim.Time) float64) {
 		panic("telemetry: nil gauge function")
 	}
 	r.addColumn(name, fn)
-}
-
-// Histogram is a sampled distribution: each snapshot contributes the
-// cumulative count, mean and 99th percentile as three columns
-// (<name>.count, <name>.mean, <name>.p99).
-type Histogram struct{ h metrics.Histogram }
-
-// Observe adds a sample.
-func (h *Histogram) Observe(x float64) { h.h.Observe(x) }
-
-// Count returns the number of samples so far.
-func (h *Histogram) Count() int { return h.h.Count() }
-
-// Histogram registers and returns a new histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.addColumn(name+".count", func(sim.Time) float64 { return float64(h.h.Count()) })
-	r.addColumn(name+".mean", func(sim.Time) float64 { return h.h.Mean() })
-	r.addColumn(name+".p99", func(sim.Time) float64 { return h.h.Quantile(0.99) })
-	return h
 }
 
 // Names returns the column names in registration order.

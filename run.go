@@ -86,10 +86,9 @@ func WithMetrics(reg *telemetry.Registry) RunOption {
 	return func(o *runOptions) { o.metrics = reg }
 }
 
-// WithCheck runs the simulation under full invariant checking: the
-// event-stream checker wraps the configured recorder, the cluster's
-// end-of-run state audit is enabled, and any violation turns into a
-// non-nil error from Run/Resume.
+// WithCheck sets Spec.Cluster.SelfCheck: the run executes under the
+// full invariant-checking harness (see setup) and any violation turns
+// into a non-nil error from Run/Resume.
 func WithCheck() RunOption {
 	return func(o *runOptions) { o.check = true }
 }
@@ -127,11 +126,17 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if o.metrics != nil {
 		spec.Cluster.Metrics = o.metrics
 	}
-	var ck *check.Checker
 	if o.check {
+		spec.Cluster.SelfCheck = true
+	}
+	// Spec.Cluster.SelfCheck is the one checking switch, and it travels
+	// in the spec (wire requests, cell keys, checkpoint frames). A
+	// checked run gets the full harness: the event-stream checker wraps
+	// the recorder here, and audit runs the combined check.Audit.
+	var ck *check.Checker
+	if spec.Cluster.SelfCheck {
 		ck = check.Wrap(spec.Cluster.Recorder)
 		spec.Cluster.Recorder = ck
-		spec.Cluster.SelfCheck = true
 	}
 
 	// Resolve the checkpoint cadence before the cluster is built — the
@@ -160,7 +165,11 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 		spec.Cluster.CheckpointEvery = poll
 	}
 
-	cl, err := NewCluster(spec)
+	// check.Audit includes the cluster's state audit, so the cluster is
+	// built without its own end-of-run copy of it.
+	build := spec
+	build.Cluster.SelfCheck = false
+	cl, err := NewCluster(build)
 	if err != nil {
 		return nil, err
 	}
@@ -207,14 +216,14 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 }
 
 // release refills a caller-donated Scratch with the run's buffers; it
-// runs last, after the WithCheck audit has read the cluster.
+// runs last, after the checked-run audit has read the cluster.
 func (e *runEnv) release() {
 	if e.scratch != nil {
 		*e.scratch = *e.cl.Release()
 	}
 }
 
-// audit is the post-run half of WithCheck.
+// audit is the post-run half of a checked run.
 func (e *runEnv) audit() error {
 	if e.ck == nil {
 		return nil
@@ -229,8 +238,8 @@ func (e *runEnv) audit() error {
 // Run executes the spec end to end under ctx and returns the result.
 // Options attach the process-local concerns a serializable Spec cannot
 // carry: checkpoint writers (WithCheckpoint, WithCheckpointTrigger),
-// telemetry recorders (WithTelemetry), and invariant checking
-// (WithCheck).
+// and telemetry recorders (WithTelemetry, WithMetrics). A spec with
+// Cluster.SelfCheck set (or WithCheck) runs under invariant checking.
 //
 // Cancellation is observed by the discrete-event engine within
 // sim.CancelCheckInterval events; the returned error then wraps
